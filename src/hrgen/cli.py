@@ -109,6 +109,7 @@ def _cmd_generate(args) -> int:
                 ("t_sample_ns", stats.t_sample_ns),
                 ("t_build_ns", stats.t_build_ns),
                 ("t_edges_ns", stats.t_edges_ns),
+                ("t_long_range_ns", stats.t_long_range_ns),
             )
         )
     )

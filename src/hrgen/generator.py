@@ -124,7 +124,11 @@ class VertexCoordinates:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    """Phase timings (nanoseconds) and basic facts about one run."""
+    """Phase timings (nanoseconds) and basic facts about one run.
+
+    `t_long_range_ns` times the shortcut sampler; it is 0 when no shortcuts
+    are requested.
+    """
 
     n: int
     m: int
@@ -133,10 +137,13 @@ class GenerationStats:
     t_sample_ns: int
     t_build_ns: int
     t_edges_ns: int
+    t_long_range_ns: int
 
     @property
     def t_total_ns(self):
-        return self.t_sample_ns + self.t_build_ns + self.t_edges_ns
+        return (
+            self.t_sample_ns + self.t_build_ns + self.t_edges_ns + self.t_long_range_ns
+        )
 
 
 def radial_inverse_cdf(u, alpha, radius):
@@ -203,7 +210,6 @@ def generate_with_stats(params: GeneratorParams):
         max_r=to_poincare_radius(model.R),
         capacity=params.leaf_capacity,
     )
-    tree.pack()
     t2 = time.perf_counter_ns()
 
     center_r, radii = circle_params(coords.r_poincare, model.R)
@@ -224,8 +230,10 @@ def generate_with_stats(params: GeneratorParams):
     graph = Graph.from_edge_arrays(n, us, vs)
     t3 = time.perf_counter_ns()
 
+    t_long_range_ns = 0
     if params.long_range_fraction > 0.0:
         graph = add_long_range_edges(graph, params.long_range_fraction, params.seed)
+        t_long_range_ns = time.perf_counter_ns() - t3
 
     stats = GenerationStats(
         n=n,
@@ -235,6 +243,7 @@ def generate_with_stats(params: GeneratorParams):
         t_sample_ns=t1 - t0,
         t_build_ns=t2 - t1,
         t_edges_ns=t3 - t2,
+        t_long_range_ns=t_long_range_ns,
     )
     return graph, stats
 

@@ -144,10 +144,16 @@ def circle_params(r_poincare, hyperbolic_radius):
     r_poincare. The center keeps its angular coordinate.
 
     Vectorized over r_poincare; hyperbolic_radius is a shared scalar or an
-    array of matching shape.
+    array of matching shape. Raises ParameterDomainError for a center
+    outside [0, 1) or a radius that is not positive.
     """
     rh = np.asarray(r_poincare, dtype=np.float64)
-    a = 2.0 * np.sinh(np.asarray(hyperbolic_radius, dtype=np.float64) / 2.0) ** 2  # cosh(rad) - 1
+    rad = np.asarray(hyperbolic_radius, dtype=np.float64)
+    if not np.all((rh >= 0.0) & (rh < 1.0)):
+        raise ParameterDomainError("Poincare radial coordinate must be in [0, 1)")
+    if not np.all(rad > 0.0):
+        raise ParameterDomainError("hyperbolic radius must be positive")
+    a = 2.0 * np.sinh(rad / 2.0) ** 2  # cosh(rad) - 1
     b = (1.0 - rh) * (1.0 + rh)
     denom = a * b + 2.0
     center_r = 2.0 * rh / denom

@@ -8,19 +8,23 @@ is computed in native hyperbolic coordinates and mapped back to the disk).
 With points drawn from that density every child of a cell is equally likely,
 which keeps the tree balanced and query cost subquadratic.
 
+The tree is built once for a whole point set, directly as flat arrays: nodes
+are numbered breadth-first with the four children of an inner node
+consecutive, and every node owns the contiguous slice [start, stop) of the
+point arrays, which are sorted by angle within each leaf.
+
 Range queries take a Euclidean circle and return the stored points strictly
-inside it. Internally the tree is flattened into packed arrays (cell bounds,
-first-child links, and per-subtree point slices in depth-first order) so that
-many queries can be processed level-synchronously with vectorized pruning:
-cells entirely inside a query circle contribute their whole point slice
-without inspection, cells entirely outside are dropped, and only boundary
-cells descend.
+inside it. Many queries are processed level-synchronously with vectorized
+pruning: cells entirely inside a query circle contribute their whole point
+slice without inspection, cells entirely outside are dropped, and only
+boundary cells descend.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +32,6 @@ from .errors import OutOfBoundsError
 from .geometry import (
     TWO_PI,
     EuclideanCircle,
-    PoincarePoint,
     to_native_radius,
     to_poincare_radius,
 )
@@ -52,6 +55,12 @@ _BOUNDS_SLACK_SQ = 5e-12
 # window can never round away a true hit; arccos amplifies input rounding to
 # ~1e-8 near +-1, so this pad dominates it comfortably.
 _WINDOW_PAD = 1e-6
+
+# Leaf slices are searched through one sorted key per point, the leaf's rank
+# in point order times this stride plus the angle. The stride exceeds the
+# angle range [0, 2pi) by more than the widest window overhang (1 radian for
+# a whole-slice scan), so no window reaches into a neighbouring leaf's keys.
+_LEAF_STRIDE = 2.0 * TWO_PI
 
 # Leaf scans materialize one candidate row per (query, point) pair; pairs are
 # consumed in blocks of at most this many candidates to bound peak memory.
@@ -80,11 +89,6 @@ class CellBounds:
     max_phi: float
     min_r: float
     max_r: float
-
-    def contains(self, point: PoincarePoint) -> bool:
-        return (self.min_phi <= point.phi < self.max_phi) and (
-            self.min_r <= point.r < self.max_r
-        )
 
 
 def _min_dist_sq(min_phi, max_phi, min_r, max_r, c_phi, c_r):
@@ -155,106 +159,44 @@ def cell_circle_relation(bounds: CellBounds, circle: EuclideanCircle) -> str:
     return "intersects"
 
 
-def _ragged_searchsorted(arr, starts, stops, values, right=False):
-    """Per-slice searchsorted: position of `values[i]` within the sorted
-    slice arr[starts[i]:stops[i]], vectorized over slices."""
-    lo = starts.astype(np.int64, copy=True)
-    hi = stops.astype(np.int64, copy=True)
-    if arr.size == 0 or starts.size == 0:
-        return lo
-    span = int(np.max(stops - starts))
-    top = arr.size - 1
-    for _ in range(span.bit_length()):
-        mid = (lo + hi) >> 1
-        probe = arr[np.minimum(mid, top)]
-        descend = probe <= values if right else probe < values
-        active = lo < hi
-        lo = np.where(active & descend, mid + 1, lo)
-        hi = np.where(active & ~descend, mid, hi)
-    return lo
+class NodeView(NamedTuple):
+    """Read-only view of one tree node: its breadth-first index, its depth and
+    the slice [start, stop) of the point arrays it owns."""
 
-
-class _Node:
-    """Tree node. Leaves hold points as a (phi, r, id) triple of parallel
-    lists (mutable) or arrays (from bulk build); after packing, leaves
-    reference a slice of the tree-level arrays instead."""
-
-    __slots__ = (
-        "min_phi",
-        "max_phi",
-        "min_r",
-        "max_r",
-        "depth",
-        "size",
-        "children",
-        "mid_phi",
-        "mid_r",
-        "pts",
-        "start",
-        "stop",
-    )
-
-    def __init__(self, min_phi, max_phi, min_r, max_r, depth):
-        self.min_phi = min_phi
-        self.max_phi = max_phi
-        self.min_r = min_r
-        self.max_r = max_r
-        self.depth = depth
-        self.size = 0
-        self.children = None
-        self.mid_phi = None
-        self.mid_r = None
-        self.pts = ([], [], [])
-        self.start = 0
-        self.stop = 0
+    index: int
+    depth: int
+    start: int
+    stop: int
 
     @property
-    def is_leaf(self):
-        return self.children is None
-
-    @property
-    def bounds(self):
-        return CellBounds(self.min_phi, self.max_phi, self.min_r, self.max_r)
-
-    def child_index(self, phi, r):
-        return (1 if phi >= self.mid_phi else 0) + (2 if r >= self.mid_r else 0)
-
-
-class _PackedTree:
-    """Array-of-struct-of-arrays view of the tree used by the query kernel.
-
-    Nodes are numbered in breadth-first order with the four children of an
-    inner node consecutive (child0 holds the first child's index, -1 for
-    leaves). Points are laid out in depth-first order so every subtree owns
-    the contiguous slice [start, stop)."""
-
-    __slots__ = (
-        "min_phi",
-        "max_phi",
-        "min_r",
-        "max_r",
-        "child0",
-        "start",
-        "stop",
-        "l_rmin",
-        "l_rmax",
-        "p_phi",
-        "p_r",
-        "p_id",
-        "p_x",
-        "p_y",
-    )
+    def size(self):
+        return self.stop - self.start
 
 
 class PolarQuadtree:
-    """Point index over polar cells of the Poincare disk.
+    """Point index over polar cells of the Poincare disk, created by `build`.
 
-    Points may arrive one at a time (`insert`) or all at once (`build`); both
-    produce the identical tree structure because a cell is split exactly when
-    its region holds more than `capacity` points.
+    Per-node arrays, indexed breadth-first (node 0 is the root and covers
+    the whole region): cell bounds `min_phi`, `max_phi`, `min_r`, `max_r`;
+    `child0`, the first of four consecutive children (-1 for leaves);
+    `start`/`stop`, the node's slice of the point arrays; `depth`; and, for
+    leaves, `l_rmin`/`l_rmax`, the radius range of the points actually
+    stored, and `l_off`, the leaf's offset in `p_key`.
+
+    Per-point arrays, each leaf's slice sorted by (angle, id): `p_phi`,
+    `p_r`, `p_id`, Cartesian `p_x`/`p_y`, and `p_key`, which is `l_off` of
+    the point's leaf plus its angle and ascends over the whole array.
     """
 
-    def __init__(self, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY):
+    @classmethod
+    def build(cls, phi, r, ids=None, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY):
+        """Build the tree for coordinate arrays (phi, r), all points inside
+        [0, 2pi) x [0, max_r). `ids` defaults to 0..n-1.
+
+        Level by level, every cell that holds more than `capacity` points and
+        lies above MAX_DEPTH is split, and its slice of points is stably
+        regrouped into its four children.
+        """
         if not alpha > 0.0:
             raise ValueError("alpha must be positive")
         if not 0.0 < max_r < 1.0:
@@ -262,24 +204,6 @@ class PolarQuadtree:
         capacity = int(capacity)
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        self.alpha = float(alpha)
-        self.max_r = float(max_r)
-        self.capacity = capacity
-        self.root = _Node(0.0, TWO_PI, 0.0, self.max_r, 0)
-        self.size = 0
-        self._packed = None
-        self._fresh = False
-
-    def __len__(self):
-        return self.size
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def build(cls, phi, r, ids=None, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY):
-        """Bulk-build the tree for coordinate arrays (phi, r). `ids` defaults
-        to 0..n-1. Equivalent to inserting the points one by one, only faster."""
-        tree = cls(alpha, max_r, capacity=capacity)
         phi = np.ascontiguousarray(phi, dtype=np.float64)
         r = np.ascontiguousarray(r, dtype=np.float64)
         if phi.shape != r.shape or phi.ndim != 1:
@@ -290,222 +214,119 @@ class PolarQuadtree:
             ids = np.ascontiguousarray(ids, dtype=np.int64)
             if ids.shape != phi.shape:
                 raise ValueError("ids must match the coordinate arrays")
-        if phi.size and (
-            phi.min() < 0.0
-            or phi.max() >= TWO_PI
-            or r.min() < 0.0
-            or r.max() >= tree.max_r
+        if phi.size and not (
+            phi.min() >= 0.0
+            and phi.max() < TWO_PI
+            and r.min() >= 0.0
+            and r.max() < max_r
         ):
             raise OutOfBoundsError("point outside the tree region")
-        tree._bulk(phi, r, ids)
-        return tree
 
-    def _bulk(self, phi, r, ids):
-        capacity = self.capacity
-
-        def grow(node, p, rr, ii):
-            node.size = ii.size
-            if ii.size <= capacity or node.depth >= MAX_DEPTH:
-                node.pts = (p, rr, ii)
-                return
-            self._make_children(node)
-            left = p < node.mid_phi
-            low = rr < node.mid_r
-            for child, mask in zip(
-                node.children,
-                (left & low, ~left & low, left & ~low, ~left & ~low),
-            ):
-                grow(child, p[mask], rr[mask], ii[mask])
-
-        grow(self.root, phi, r, ids)
-        self.size = int(ids.size)
-        self._fresh = False
-
-    def _make_children(self, node):
-        node.mid_phi = 0.5 * (node.min_phi + node.max_phi)
-        node.mid_r = to_poincare_radius(
-            splitting_radius(
-                to_native_radius(node.min_r),
-                to_native_radius(node.max_r),
-                self.alpha,
-            )
-        )
-        d = node.depth + 1
-        node.children = [
-            _Node(node.min_phi, node.mid_phi, node.min_r, node.mid_r, d),
-            _Node(node.mid_phi, node.max_phi, node.min_r, node.mid_r, d),
-            _Node(node.min_phi, node.mid_phi, node.mid_r, node.max_r, d),
-            _Node(node.mid_phi, node.max_phi, node.mid_r, node.max_r, d),
-        ]
-        node.pts = None
-
-    def insert(self, point: PoincarePoint, vertex_id: int):
-        """Add one point. Raises OutOfBoundsError outside [0,2pi) x [0,max_r)."""
-        phi, r = float(point.phi), float(point.r)
-        if not (0.0 <= phi < TWO_PI and 0.0 <= r < self.max_r):
-            raise OutOfBoundsError(
-                f"point (phi={phi}, r={r}) outside tree region [0,2pi)x[0,{self.max_r})"
-            )
-        node = self.root
-        while not node.is_leaf:
-            node.size += 1
-            node = node.children[node.child_index(phi, r)]
-        self._ensure_loose(node)
-        node.pts[0].append(phi)
-        node.pts[1].append(r)
-        node.pts[2].append(int(vertex_id))
-        node.size += 1
-        self.size += 1
-        self._fresh = False
-        while node.size > self.capacity and node.depth < MAX_DEPTH:
-            node = self._split_leaf(node)
-            if node is None:
+        # order[start:stop] holds the input indices of a node's points. Each
+        # level holds (k, 4) cell bounds and (k, 2) slices for its k nodes.
+        order = np.arange(phi.size, dtype=np.int64)
+        cells = [np.array([[0.0, TWO_PI, 0.0, float(max_r)]])]
+        spans = [np.array([[0, phi.size]], dtype=np.int64)]
+        splits = []
+        for _ in range(MAX_DEPTH):
+            split = spans[-1][:, 1] - spans[-1][:, 0] > capacity
+            if not split.any():
                 break
-
-    def _ensure_loose(self, leaf):
-        """Turn a packed or array-backed leaf back into appendable lists."""
-        if leaf.pts is None:
-            packed = self._packed
-            sl = slice(leaf.start, leaf.stop)
-            leaf.pts = (
-                packed.p_phi[sl].tolist(),
-                packed.p_r[sl].tolist(),
-                packed.p_id[sl].tolist(),
+            splits.append(split)
+            lo_phi, hi_phi, lo_r, hi_r = cells[-1][split].T
+            s, e = spans[-1][split].T
+            k = s.size
+            mid_phi = 0.5 * (lo_phi + hi_phi)
+            # Scalar math per cell, so the split radii match the reference
+            # `splitting_radius` bit for bit.
+            mid_r = np.array([
+                to_poincare_radius(
+                    splitting_radius(to_native_radius(a), to_native_radius(b), alpha)
+                )
+                for a, b in zip(lo_r.tolist(), hi_r.tolist())
+            ])
+            pos = multi_arange(s, e)
+            pts = order[pos]
+            seg = np.repeat(np.arange(k), e - s)
+            key = 4 * seg + (phi[pts] >= mid_phi[seg]) + 2 * (r[pts] >= mid_r[seg])
+            order[pos] = pts[np.argsort(key, kind="stable")]
+            ends = s[:, None] + np.cumsum(
+                np.bincount(key, minlength=4 * k).reshape(k, 4), axis=1
             )
-        elif not isinstance(leaf.pts[0], list):
-            leaf.pts = tuple(a.tolist() for a in leaf.pts)
+            starts = np.concatenate((s[:, None], ends[:, :3]), axis=1)
+            spans.append(np.stack((starts.ravel(), ends.ravel()), axis=1))
+            # Children in order (low phi, low r), (high phi, low r),
+            # (low phi, high r), (high phi, high r).
+            cells.append(np.stack([
+                np.stack((lo_phi, mid_phi, lo_r, mid_r), axis=1),
+                np.stack((mid_phi, hi_phi, lo_r, mid_r), axis=1),
+                np.stack((lo_phi, mid_phi, mid_r, hi_r), axis=1),
+                np.stack((mid_phi, hi_phi, mid_r, hi_r), axis=1),
+            ], axis=1).reshape(4 * k, 4))
 
-    def _split_leaf(self, node):
-        """Split an over-full leaf; returns the single child that can still be
-        over capacity (all points landed there), else None."""
-        self._ensure_loose(node)
-        phis, rs, iis = node.pts
-        self._make_children(node)
-        kids = node.children
-        for phi, r, i in zip(phis, rs, iis):
-            child = kids[node.child_index(phi, r)]
-            self._ensure_loose(child)
-            child.pts[0].append(phi)
-            child.pts[1].append(r)
-            child.pts[2].append(i)
-            child.size += 1
-        for child in kids:
-            if child.size > self.capacity:
-                return child
-        return None
-
-    # -- packing -----------------------------------------------------------
-
-    def pack(self):
-        """Flatten the tree into the array layout used by queries. Cheap when
-        nothing changed since the last call."""
-        if self._fresh and self._packed is not None:
-            return self._packed
-        old = self._packed
-        parts_phi, parts_r, parts_id = [], [], []
-        order = []
-        cursor = 0
-
-        def dfs(node):
-            nonlocal cursor
-            order.append(node)
-            if node.is_leaf:
-                if node.pts is None:
-                    sl = slice(node.start, node.stop)
-                    triple = (old.p_phi[sl], old.p_r[sl], old.p_id[sl])
-                else:
-                    triple = (
-                        np.asarray(node.pts[0], dtype=np.float64),
-                        np.asarray(node.pts[1], dtype=np.float64),
-                        np.asarray(node.pts[2], dtype=np.int64),
-                    )
-                node.start = cursor
-                cursor += triple[2].size
-                node.stop = cursor
-                parts_phi.append(triple[0])
-                parts_r.append(triple[1])
-                parts_id.append(triple[2])
-                node.pts = None
-            else:
-                node.start = cursor
-                for child in node.children:
-                    dfs(child)
-                node.stop = cursor
-
-        dfs(self.root)
-
-        # Breadth-first node numbering keeps the four children adjacent.
-        nodes = [self.root]
-        child0 = []
-        i = 0
-        while i < len(nodes):
-            node = nodes[i]
-            if node.is_leaf:
-                child0.append(-1)
-            else:
-                child0.append(len(nodes))
-                nodes.extend(node.children)
-            i += 1
-
-        packed = _PackedTree()
-        packed.min_phi = np.array([nd.min_phi for nd in nodes], dtype=np.float64)
-        packed.max_phi = np.array([nd.max_phi for nd in nodes], dtype=np.float64)
-        packed.min_r = np.array([nd.min_r for nd in nodes], dtype=np.float64)
-        packed.max_r = np.array([nd.max_r for nd in nodes], dtype=np.float64)
-        packed.child0 = np.array(child0, dtype=np.int64)
-        packed.start = np.array([nd.start for nd in nodes], dtype=np.int64)
-        packed.stop = np.array([nd.stop for nd in nodes], dtype=np.int64)
-        packed.p_phi = (
-            np.concatenate(parts_phi) if parts_phi else np.empty(0, np.float64)
+        tree = cls.__new__(cls)
+        tree.alpha = float(alpha)
+        tree.capacity = capacity
+        sizes = [c.shape[0] for c in cells]
+        offsets = np.cumsum([0] + sizes)
+        bounds = np.concatenate(cells)
+        tree.min_phi, tree.max_phi, tree.min_r, tree.max_r = (
+            np.ascontiguousarray(col) for col in bounds.T
         )
-        packed.p_r = np.concatenate(parts_r) if parts_r else np.empty(0, np.float64)
-        packed.p_id = np.concatenate(parts_id) if parts_id else np.empty(0, np.int64)
+        tree.start, tree.stop = (
+            np.ascontiguousarray(col) for col in np.concatenate(spans).T
+        )
+        tree.depth = np.repeat(np.arange(len(cells), dtype=np.int64), sizes)
+        tree.child0 = np.full(offsets[-1], -1, dtype=np.int64)
+        for d, split in enumerate(splits):
+            parents = offsets[d] + np.flatnonzero(split)
+            tree.child0[parents] = offsets[d + 1] + 4 * np.arange(parents.size)
 
-        # Points are sorted by angle within each leaf slice (ties by id, so
-        # the layout is deterministic). Queries then narrow a leaf scan to an
-        # angular window with binary search instead of testing every point.
-        if packed.p_phi.size:
-            sizes = np.array([p.size for p in parts_id], dtype=np.int64)
-            segment = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-            perm = np.lexsort((packed.p_id, packed.p_phi, segment))
-            packed.p_phi = packed.p_phi[perm]
-            packed.p_r = packed.p_r[perm]
-            packed.p_id = packed.p_id[perm]
-        packed.p_x = packed.p_r * np.cos(packed.p_phi)
-        packed.p_y = packed.p_r * np.sin(packed.p_phi)
+        # Sort every leaf slice by (angle, id) so that queries cut an angular
+        # window out of a leaf by binary search; ids make the layout
+        # deterministic. Leaves in point order get consecutive ranks.
+        leaf = np.flatnonzero(tree.child0 < 0)
+        leaf = leaf[np.argsort(tree.start[leaf], kind="stable")]
+        rank = np.repeat(
+            np.arange(leaf.size, dtype=np.int64), tree.stop[leaf] - tree.start[leaf]
+        )
+        order = order[np.lexsort((ids[order], phi[order], rank))]
+        tree.p_phi = phi[order]
+        tree.p_r = r[order]
+        tree.p_id = ids[order]
+        tree.p_x = tree.p_r * np.cos(tree.p_phi)
+        tree.p_y = tree.p_r * np.sin(tree.p_phi)
+        tree.l_off = np.zeros(tree.child0.size)
+        tree.l_off[leaf] = np.arange(leaf.size) * _LEAF_STRIDE
+        tree.p_key = tree.l_off[leaf][rank] + tree.p_phi
 
         # Actual point radius range per leaf. Much tighter than the cell band
         # for cells whose inner radius is far below their sparsest point, and
         # that tightness is what makes the angular query windows narrow.
-        n_nodes = packed.child0.size
-        packed.l_rmin = np.full(n_nodes, 2.0)
-        packed.l_rmax = np.zeros(n_nodes)
-        leaf_ids = np.flatnonzero(packed.child0 < 0)
-        occupied = leaf_ids[packed.stop[leaf_ids] > packed.start[leaf_ids]]
+        tree.l_rmin = np.full(tree.child0.size, 2.0)
+        tree.l_rmax = np.zeros(tree.child0.size)
+        occupied = leaf[tree.stop[leaf] > tree.start[leaf]]
         if occupied.size:
-            # reduceat folds each start to the next one, so starts must be
-            # ascending (breadth-first leaf ids are not); occupied leaf slices
-            # tile the point array, which makes the folds exactly the slices.
-            occupied = occupied[np.argsort(packed.start[occupied])]
-            starts = packed.start[occupied]
-            packed.l_rmin[occupied] = np.minimum.reduceat(packed.p_r, starts)
-            packed.l_rmax[occupied] = np.maximum.reduceat(packed.p_r, starts)
-        self._packed = packed
-        self._fresh = True
-        return packed
+            # Occupied leaf slices, in point order, tile the point array, so
+            # reduceat's folds are exactly the slices.
+            starts = tree.start[occupied]
+            tree.l_rmin[occupied] = np.minimum.reduceat(tree.p_r, starts)
+            tree.l_rmax[occupied] = np.maximum.reduceat(tree.p_r, starts)
+        return tree
+
+    def __len__(self):
+        return self.p_id.size
 
     # -- queries -----------------------------------------------------------
 
-    def query_many(self, center_phi, center_r, radii, *, return_cell_counts=False):
+    def query_many(self, center_phi, center_r, radii):
         """Stored point ids strictly inside each query circle.
 
         Circles are given in polar form (center angle, center Poincare radius,
-        Euclidean radius). Returns (query_index, point_id) pair arrays; with
-        `return_cell_counts` also the number of cells each query touched.
+        Euclidean radius). Returns (query_index, point_id) pair arrays.
         All circles advance through the tree together, one level per pass,
         with pruning decisions made on whole arrays.
         """
-        packed = self.pack()
         c_phi = np.atleast_1d(np.asarray(center_phi, dtype=np.float64))
         c_r = np.atleast_1d(np.asarray(center_r, dtype=np.float64))
         radii = np.broadcast_to(
@@ -521,14 +342,13 @@ class PolarQuadtree:
         q = np.arange(n_q, dtype=np.int64)
         node = np.zeros(n_q, dtype=np.int64)
         out_q, out_p = [], []
-        cell_counts = np.zeros(n_q, dtype=np.int64) if return_cell_counts else None
 
         while q.size:
             dmin_sq = _min_dist_sq(
-                packed.min_phi[node],
-                packed.max_phi[node],
-                packed.min_r[node],
-                packed.max_r[node],
+                self.min_phi[node],
+                self.max_phi[node],
+                self.min_r[node],
+                self.max_r[node],
                 c_phi[q],
                 c_r[q],
             )
@@ -538,28 +358,26 @@ class PolarQuadtree:
 
             # The far bound only matters for pairs that survived pruning.
             dmax_sq = _max_dist_sq(
-                packed.min_phi[node],
-                packed.max_phi[node],
-                packed.min_r[node],
-                packed.max_r[node],
+                self.min_phi[node],
+                self.max_phi[node],
+                self.min_r[node],
+                self.max_r[node],
                 c_phi[q],
                 c_r[q],
             )
             contained = dmax_sq < rsq
             if contained.any():
                 cn, cq = node[contained], q[contained]
-                s, e = packed.start[cn], packed.stop[cn]
+                s, e = self.start[cn], self.stop[cn]
                 out_p.append(multi_arange(s, e))
                 out_q.append(np.repeat(cq, e - s))
-                if return_cell_counts:
-                    np.add.at(cell_counts, cq, 1)
                 q, node = q[~contained], node[~contained]
 
-            child = packed.child0[node]
+            child = self.child0[node]
             at_leaf = child < 0
             if at_leaf.any():
                 ln, lq = node[at_leaf], q[at_leaf]
-                s, e = packed.start[ln], packed.stop[ln]
+                s, e = self.start[ln], self.stop[ln]
 
                 # A stored point at origin distance p and angular offset d from
                 # the circle center lies inside iff
@@ -568,8 +386,8 @@ class PolarQuadtree:
                 # [r1,r2] (endpoints plus the stationary point sqrt(c^2-rad^2))
                 # bounds the offset of any candidate, and the window it defines
                 # is cut out of the angle-sorted slice with binary search.
-                r1 = packed.l_rmin[ln]
-                r2 = packed.l_rmax[ln]
+                r1 = self.l_rmin[ln]
+                r2 = self.l_rmax[ln]
                 c = c_r[lq]
                 diff = c * c - rad_sq[lq]
                 g1 = np.full(lq.shape, np.inf)
@@ -593,8 +411,13 @@ class PolarQuadtree:
                 whole = (cos_lim <= -1.0) | (lo_val < 0.0) | (hi_val >= TWO_PI)
                 lo_val = np.where(whole, -1.0, lo_val)
                 hi_val = np.where(whole, TWO_PI + 1.0, hi_val)
-                ws = _ragged_searchsorted(packed.p_phi, s, e, lo_val)
-                we = _ragged_searchsorted(packed.p_phi, s, e, hi_val, right=True)
+                # Keys round by far less than the window pad, and clipping to
+                # the leaf's slice also covers empty leaves.
+                off = self.l_off[ln]
+                ws = np.clip(np.searchsorted(self.p_key, off + lo_val), s, e)
+                we = np.clip(
+                    np.searchsorted(self.p_key, off + hi_val, side="right"), s, e
+                )
 
                 cum = np.cumsum(we - ws)
                 if cum.size and cum[-1]:
@@ -608,13 +431,11 @@ class PolarQuadtree:
                     ):
                         pidx = multi_arange(ls, le)
                         prep = np.repeat(lqb, le - ls)
-                        dx = packed.p_x[pidx] - c_x[prep]
-                        dy = packed.p_y[pidx] - c_y[prep]
+                        dx = self.p_x[pidx] - c_x[prep]
+                        dy = self.p_y[pidx] - c_y[prep]
                         hit = dx * dx + dy * dy < rad_sq[prep]
                         out_p.append(pidx[hit])
                         out_q.append(prep[hit])
-                if return_cell_counts:
-                    np.add.at(cell_counts, lq, 1)
 
             q, child = q[~at_leaf], child[~at_leaf]
             node = (child[:, None] + np.arange(4, dtype=np.int64)).ravel()
@@ -622,12 +443,10 @@ class PolarQuadtree:
 
         if out_q:
             qidx = np.concatenate(out_q)
-            ids = packed.p_id[np.concatenate(out_p)]
+            ids = self.p_id[np.concatenate(out_p)]
         else:
             qidx = np.empty(0, dtype=np.int64)
             ids = np.empty(0, dtype=np.int64)
-        if return_cell_counts:
-            return qidx, ids, cell_counts
         return qidx, ids
 
     def query_circle(self, circle: EuclideanCircle):
@@ -639,45 +458,25 @@ class PolarQuadtree:
 
     # -- introspection ------------------------------------------------------
 
+    def _views(self, nodes):
+        return [
+            NodeView(int(i), int(self.depth[i]), int(self.start[i]), int(self.stop[i]))
+            for i in nodes
+        ]
+
     def height(self):
         """Length of the longest root-to-leaf path (root alone has height 0)."""
-        best = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                best = max(best, node.depth)
-            else:
-                stack.extend(node.children)
-        return best
+        return int(self.depth.max())
 
     def nodes_at_depth(self, depth):
-        """All nodes at exactly `depth` (fewer than 4**depth if the tree is
-        shallower there)."""
-        found = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.depth == depth:
-                found.append(node)
-            elif node.depth < depth and not node.is_leaf:
-                stack.extend(node.children)
-        return found
+        """Views of all nodes at exactly `depth` (fewer than 4**depth if the
+        tree is shallower there)."""
+        return self._views(np.flatnonzero(self.depth == depth))
 
     def leaves(self):
-        found = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                found.append(node)
-            else:
-                stack.extend(node.children)
-        return found
+        """Views of all leaves, in breadth-first order."""
+        return self._views(np.flatnonzero(self.child0 < 0))
 
     def leaf_point_ids(self, leaf):
-        """Vertex ids stored in a leaf node (packed leaves report them in
-        angle order)."""
-        if leaf.pts is not None:
-            return np.asarray(leaf.pts[2], dtype=np.int64)
-        return self.pack().p_id[leaf.start : leaf.stop].copy()
+        """Vertex ids stored in a leaf, in angle order."""
+        return self.p_id[leaf.start : leaf.stop].copy()

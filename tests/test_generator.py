@@ -198,9 +198,14 @@ def test_long_range_edges_added_deterministically():
 
 def test_long_range_fraction_wired_into_generate():
     base = dict(n=3000, avg_degree=6.0, gamma=3.0, seed=2)
-    plain = generate(GeneratorParams(**base))
-    aug = generate(GeneratorParams(**base, long_range_fraction=0.01))
+    plain, plain_stats = generate_with_stats(GeneratorParams(**base))
+    aug, stats_ = generate_with_stats(GeneratorParams(**base, long_range_fraction=0.01))
     assert aug.m == plain.m + math.ceil(0.01 * plain.m)
+    assert plain_stats.t_long_range_ns == 0
+    assert stats_.t_long_range_ns > 0
+    assert stats_.t_total_ns == (
+        stats_.t_sample_ns + stats_.t_build_ns + stats_.t_edges_ns + stats_.t_long_range_ns
+    )
 
 
 def test_long_range_rejects_full_graph():

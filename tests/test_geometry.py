@@ -178,6 +178,25 @@ def test_circle_rejects_nonpositive_radius():
         hyperbolic_circle_to_euclidean(NativePoint(0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize(
+    "r_poincare, radius",
+    [
+        (1.5, 2.0),
+        (1.0, 2.0),
+        (-0.1, 2.0),
+        (math.nan, 2.0),
+        (np.array([0.2, 1.5]), 2.0),
+        (0.5, 0.0),
+        (0.5, -1.0),
+        (0.5, math.nan),
+        (np.array([0.2, 0.3]), np.array([1.0, -1.0])),
+    ],
+)
+def test_circle_params_rejects_out_of_domain(r_poincare, radius):
+    with pytest.raises(ParameterDomainError):
+        circle_params(r_poincare, radius)
+
+
 def test_expected_avg_degree_frozen_values():
     # regression pins; the generator-level tests check realized accuracy
     assert expected_avg_degree(10000, 1.0, 14.7417) == pytest.approx(16.0, rel=1e-4)

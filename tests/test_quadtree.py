@@ -116,74 +116,88 @@ def test_cell_relation_agrees_with_dense_sampling():
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(OutOfBoundsError):
-        PolarQuadtree.build(
-            np.array([0.0]), np.array([0.99]), alpha=1.0, max_r=0.98
-        )
-    with pytest.raises(OutOfBoundsError):
-        PolarQuadtree.build(
-            np.array([-0.1]), np.array([0.5]), alpha=1.0, max_r=0.98
-        )
-    tree = PolarQuadtree(1.0, 0.98)
-    with pytest.raises(OutOfBoundsError):
-        tree.insert(PoincarePoint(0.0, 0.98), 0)
+    outside = (
+        (0.0, 0.99), (0.0, 0.98), (-0.1, 0.5), (TWO_PI, 0.5), (math.nan, 0.5), (0.5, math.nan)
+    )
+    for phi, r in outside:
+        with pytest.raises(OutOfBoundsError):
+            PolarQuadtree.build(np.array([phi]), np.array([r]), alpha=1.0, max_r=0.98)
 
 
 def test_constructor_domain():
+    point = (np.array([0.5]), np.array([0.5]))
     with pytest.raises(ValueError):
-        PolarQuadtree(0.0, 0.9)
+        PolarQuadtree.build(*point, alpha=0.0, max_r=0.9)
     with pytest.raises(ValueError):
-        PolarQuadtree(1.0, 1.0)
+        PolarQuadtree.build(*point, alpha=1.0, max_r=1.0)
     with pytest.raises(ValueError):
-        PolarQuadtree(1.0, 0.9, capacity=0)
+        PolarQuadtree.build(*point, alpha=1.0, max_r=0.9, capacity=0)
+    with pytest.raises(ValueError):
+        PolarQuadtree.build(np.zeros((2, 2)), np.zeros((2, 2)), alpha=1.0, max_r=0.9)
+    with pytest.raises(ValueError):
+        PolarQuadtree.build(*point, ids=np.arange(2), alpha=1.0, max_r=0.9)
 
 
-def _structure(node):
-    if node.is_leaf:
-        return ("leaf", node.size)
-    return ("inner", node.size, tuple(_structure(c) for c in node.children))
-
-
-@given(st.integers(0, 400), st.integers(1, 40), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_build_matches_sequential_insert(n, capacity, seed):
+@given(
+    st.integers(0, 600),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.55, 3.0),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_invariants(n, capacity, seed, alpha, coarse):
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
-    bulk = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=capacity)
-    seq = PolarQuadtree(1.0, 0.98, capacity=capacity)
-    for i in range(n):
-        seq.insert(PoincarePoint(phi[i], r[i]), i)
-    assert len(bulk) == len(seq) == n
-    assert _structure(bulk.root) == _structure(seq.root)
-    pb, ps = bulk.pack(), seq.pack()
-    for attr in ("child0", "start", "stop", "p_phi", "p_r", "p_id"):
-        assert np.array_equal(getattr(pb, attr), getattr(ps, attr)), attr
-
-
-def test_insertion_order_does_not_matter():
-    rng = np.random.default_rng(3)
-    phi, r = random_points(rng, 500, max_r=0.96)
-    ids = np.arange(500)
-    trees = []
-    for perm_seed in (0, 1):
-        order = np.random.default_rng(perm_seed).permutation(500)
-        t = PolarQuadtree(0.8, 0.97, capacity=16)
-        for i in order:
-            t.insert(PoincarePoint(phi[i], r[i]), ids[i])
-        trees.append(t.pack())
-    a, b = trees
-    # leaf slices sort by (angle, id), so even the packed layout is identical
-    for attr in ("child0", "start", "stop", "p_phi", "p_r", "p_id"):
-        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+    if coarse:
+        # few distinct coordinates: angle ties inside leaves, piled-up cells
+        phi = np.round(phi, 1) % TWO_PI
+        r = np.round(r, 1) % 0.98
+    ids = rng.permutation(n)
+    tree = PolarQuadtree.build(phi, r, ids, alpha=alpha, max_r=0.98, capacity=capacity)
+    assert len(tree) == n
+    size = tree.stop - tree.start
+    inner = tree.child0 >= 0
+    leaf = ~inner
+    assert np.all((size[leaf] <= capacity) | (tree.depth[leaf] == MAX_DEPTH))
+    assert np.all(size[inner] > capacity)
+    assert np.all(tree.depth[inner] < MAX_DEPTH)
+    # children are consecutive, one level down, and tile their parent's slice
+    for node in np.flatnonzero(inner):
+        kids = tree.child0[node] + np.arange(4)
+        assert np.all(tree.depth[kids] == tree.depth[node] + 1)
+        assert tree.start[kids[0]] == tree.start[node]
+        assert np.array_equal(tree.stop[kids[:3]], tree.start[kids[1:]])
+        assert tree.stop[kids[3]] == tree.stop[node]
+    assert tree.start[0] == 0 and tree.stop[0] == n
+    assert np.array_equal(np.sort(tree.child0[inner]), 1 + 4 * np.arange(inner.sum()))
+    # every point lies in its leaf's cell; leaf slices are sorted by (angle, id)
+    owner = np.repeat(np.flatnonzero(leaf), size[leaf])
+    owner = owner[np.argsort(np.repeat(tree.start[leaf], size[leaf]), kind="stable")]
+    assert np.all(tree.min_phi[owner] <= tree.p_phi)
+    assert np.all(tree.p_phi < tree.max_phi[owner])
+    assert np.all(tree.min_r[owner] <= tree.p_r)
+    assert np.all(tree.p_r < tree.max_r[owner])
+    same = owner[1:] == owner[:-1]
+    step = np.diff(tree.p_phi)
+    assert np.all(step[same] >= 0.0)
+    assert np.all(np.diff(tree.p_id)[same & (step == 0.0)] > 0)
+    assert np.all(np.diff(tree.p_key) >= 0.0)
+    # the stored points are the input points
+    by_id = np.argsort(tree.p_id)
+    assert np.array_equal(tree.p_id[by_id], np.arange(n))
+    assert np.array_equal(tree.p_phi[by_id], phi[np.argsort(ids)])
+    assert np.array_equal(tree.p_r[by_id], r[np.argsort(ids)])
 
 
 def test_duplicate_points_stop_splitting_at_depth_cap():
-    tree = PolarQuadtree(1.0, 0.9, capacity=1)
-    p = PoincarePoint(1.0, 0.5)
-    for i in range(40):
-        tree.insert(p, i)
+    tree = PolarQuadtree.build(
+        np.full(40, 1.0), np.full(40, 0.5), alpha=1.0, max_r=0.9, capacity=1
+    )
     assert len(tree) == 40
-    assert tree.height() <= MAX_DEPTH
+    assert tree.height() == MAX_DEPTH
+    [leaf] = [lf for lf in tree.leaves() if lf.size]
+    assert leaf.size == 40 and leaf.depth == MAX_DEPTH
     got = tree.query_circle(EuclideanCircle(PoincarePoint(1.0, 0.5), 1e-6))
     assert np.array_equal(got, np.arange(40))
 
@@ -235,29 +249,22 @@ def test_query_many_matches_single_queries():
 
 
 def test_query_many_shape_validation():
-    tree = PolarQuadtree(1.0, 0.9)
+    tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
     with pytest.raises(ValueError):
         tree.query_many(np.zeros((2, 2)), np.zeros((2, 2)), 0.1)
 
 
 def test_query_empty_tree_and_zero_radius():
-    tree = PolarQuadtree(1.0, 0.9)
+    tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
+    assert len(tree) == 0 and tree.height() == 0
     assert tree.query_circle(EuclideanCircle(PoincarePoint(0, 0), 5.0)).size == 0
-    tree.insert(PoincarePoint(0.3, 0.3), 7)
+    tree = PolarQuadtree.build(
+        np.array([0.3]), np.array([0.3]), np.array([7]), alpha=1.0, max_r=0.9
+    )
     assert tree.query_circle(EuclideanCircle(PoincarePoint(0.3, 0.3), 0.0)).size == 0
-
-
-def test_query_after_incremental_insert_and_repack():
-    tree = PolarQuadtree(1.0, 0.95, capacity=4)
-    rng = np.random.default_rng(5)
-    phi, r = random_points(rng, 60, max_r=0.94)
-    everything = EuclideanCircle(PoincarePoint(0.0, 0.0), 2.0)
-    for i in range(60):
-        tree.insert(PoincarePoint(phi[i], r[i]), i)
-        if i % 17 == 0:
-            # interleave queries so packing and re-loosening both happen
-            assert tree.query_circle(everything).size == i + 1
-    assert np.array_equal(tree.query_circle(everything), np.arange(60))
+    assert np.array_equal(
+        tree.query_circle(EuclideanCircle(PoincarePoint(0.3, 0.3), 0.1)), [7]
+    )
 
 
 # -- introspection -----------------------------------------------------------
@@ -270,11 +277,13 @@ def test_tree_shape_accounting():
     leaves = tree.leaves()
     assert sum(leaf.size for leaf in leaves) == 2000
     assert all(leaf.size <= 32 for leaf in leaves)
-    assert tree.nodes_at_depth(0) == [tree.root]
+    [root] = tree.nodes_at_depth(0)
+    assert (root.index, root.depth, root.size) == (0, 0, 2000)
     d1 = tree.nodes_at_depth(1)
-    assert len(d1) == 4
+    assert [nd.index for nd in d1] == [1, 2, 3, 4]
     assert sum(nd.size for nd in d1) == 2000
-    assert tree.height() >= 1
+    assert tree.height() == max(leaf.depth for leaf in leaves) >= 1
+    assert tree.nodes_at_depth(tree.height() + 1) == []
     ids = np.concatenate([tree.leaf_point_ids(leaf) for leaf in leaves])
     assert np.array_equal(np.sort(ids), np.arange(2000))
 
@@ -283,7 +292,6 @@ def test_leaf_point_ids_in_angle_order():
     rng = np.random.default_rng(9)
     phi, r = random_points(rng, 300)
     tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=16)
-    tree.pack()
     for leaf in tree.leaves():
         got = tree.leaf_point_ids(leaf)
         assert np.all(np.diff(phi[got]) >= 0)
