@@ -20,7 +20,7 @@ from .errors import InsufficientDataError
 from .graph import Graph
 from .nputil import multi_arange
 
-# Row-block size for the sparse triangle product; bounds peak memory.
+# Row-block size for the sparse triangle products; bounds peak memory.
 _TRIANGLE_BLOCK = 8192
 
 # Components at most this large get the exact all-pairs diameter.
@@ -76,31 +76,42 @@ def _adjacency_matrix(graph: Graph):
     )
 
 
-def triangle_count(graph: Graph) -> int:
-    """Number of triangles, each counted once.
+def _vertex_triangles(graph: Graph):
+    """Triangles through each vertex, as a float array.
 
     Edges are oriented from lower to higher (degree, id) rank, which caps
-    out-degrees near sqrt(m) and keeps the path-counting sparse product
-    cheap even with heavy-tailed degrees.
+    out-degrees near sqrt(m) and keeps the sparse products cheap even with
+    heavy-tailed degrees. With B the oriented adjacency, a triangle a < b < c
+    (by rank) is the path a->b->c closed by a->c: B @ B masked by B finds it
+    at (a, c), which credits a and c, and B.T @ B masked by B finds it at
+    (b, c), which credits b.
     """
-    if graph.m == 0:
-        return 0
     n = graph.n
+    tri = np.zeros(n)
+    if graph.m == 0:
+        return tri
     deg = graph.degrees()
     rank = np.empty(n, dtype=np.int64)
     rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
-    e = graph.edge_array()
-    forward = rank[e[:, 0]] < rank[e[:, 1]]
-    src = np.where(forward, e[:, 0], e[:, 1])
-    dst = np.where(forward, e[:, 1], e[:, 0])
+    src = np.repeat(np.arange(n, dtype=np.int64), deg)
+    forward = rank[src] < rank[graph.indices]
     b = sparse.csr_matrix(
-        (np.ones(src.size, dtype=np.float64), (src, dst)), shape=(n, n)
+        (np.ones(graph.m), (src[forward], graph.indices[forward])), shape=(n, n)
     )
-    total = 0.0
+    bt = b.T.tocsr()
     for lo in range(0, n, _TRIANGLE_BLOCK):
-        block = b[lo : lo + _TRIANGLE_BLOCK]
-        total += (block @ b).multiply(block).sum()
-    return int(round(total))
+        rows = b[lo : lo + _TRIANGLE_BLOCK]
+        ends = (rows @ b).multiply(rows)
+        tri[lo : lo + _TRIANGLE_BLOCK] += np.asarray(ends.sum(axis=1)).ravel()
+        tri += np.asarray(ends.sum(axis=0)).ravel()
+        middle = (bt[lo : lo + _TRIANGLE_BLOCK] @ b).multiply(rows)
+        tri[lo : lo + _TRIANGLE_BLOCK] += np.asarray(middle.sum(axis=1)).ravel()
+    return tri
+
+
+def triangle_count(graph: Graph) -> int:
+    """Number of triangles, each counted once."""
+    return int(round(_vertex_triangles(graph).sum() / 3.0))
 
 
 def global_clustering(graph: Graph) -> float:
@@ -116,17 +127,11 @@ def global_clustering(graph: Graph) -> float:
 def local_clustering(graph: Graph):
     """Per-vertex clustering: triangles through v over pairs of neighbors
     of v; zero for degree < 2. Returned as a float array."""
-    n = graph.n
     deg = graph.degrees().astype(np.int64)
-    tri = np.zeros(n)
-    if graph.m:
-        a = _adjacency_matrix(graph)
-        for lo in range(0, n, _TRIANGLE_BLOCK):
-            rows = a[lo : lo + _TRIANGLE_BLOCK]
-            part = (rows @ a).multiply(rows).sum(axis=1)
-            tri[lo : lo + _TRIANGLE_BLOCK] = np.asarray(part).ravel() / 2.0
     wedges = deg * (deg - 1) / 2.0
-    return np.divide(tri, wedges, out=np.zeros(n), where=wedges > 0)
+    return np.divide(
+        _vertex_triangles(graph), wedges, out=np.zeros(graph.n), where=wedges > 0
+    )
 
 
 def mean_local_clustering(graph: Graph) -> float:

@@ -4,7 +4,6 @@ Subcommands:
   generate   one graph -> edge-list or METIS file, timings on stdout
   analyze    structural measures of an edge-list file
   sweep      parameter grid -> per-run measures as CSV rows plus averages
-  bench      parameter grid -> generation timings as CSV
 
 Parameter errors exit with status 1 and a message on stderr; the STATS line
 of `generate` is tab-separated key=value pairs for easy scraping.
@@ -18,7 +17,7 @@ import sys
 
 from .analysis import AnalysisReport, analyze
 from .errors import ParameterDomainError
-from .generator import DEFAULT_GENERATOR_CAPACITY, GeneratorParams, generate_with_stats
+from .generator import GeneratorParams, generate_with_stats
 from .graphio import EdgeListHeader, read_edgelist, write_edgelist, write_metis
 
 
@@ -31,7 +30,7 @@ def _add_model_flags(p, with_output):
     group_g.add_argument("--gamma", type=float, help="degree power-law exponent (> 2)")
     group_g.add_argument("--alpha", type=float, help="radial growth parameter (> 0.5)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    _add_run_flags(p)
+    p.add_argument("--threads", type=int, default=1, help="edge-phase worker threads")
     p.add_argument(
         "--long-range-fraction",
         type=float,
@@ -53,16 +52,6 @@ def _add_model_flags(p, with_output):
         )
 
 
-def _add_run_flags(p):
-    p.add_argument("--threads", type=int, default=1, help="edge-phase worker threads")
-    p.add_argument(
-        "--capacity",
-        type=int,
-        default=DEFAULT_GENERATOR_CAPACITY,
-        help=f"quadtree leaf capacity (default {DEFAULT_GENERATOR_CAPACITY})",
-    )
-
-
 def _add_grid_flags(p):
     p.add_argument("--nodes-list", required=True, help="comma-separated vertex counts")
     p.add_argument("--degree-list", required=True, help="comma-separated average degrees")
@@ -70,7 +59,7 @@ def _add_grid_flags(p):
     p.add_argument("--reps", type=int, default=1, help="repetitions per grid cell")
     p.add_argument("--seed", type=int, default=0, help="base seed; rep i uses seed+i")
     p.add_argument("--output", required=True, help="CSV output path")
-    _add_run_flags(p)
+    p.add_argument("--threads", type=int, default=1, help="edge-phase worker threads")
 
 
 def _params_from_args(args) -> GeneratorParams:
@@ -82,7 +71,6 @@ def _params_from_args(args) -> GeneratorParams:
         alpha=args.alpha,
         seed=args.seed,
         threads=args.threads,
-        leaf_capacity=args.capacity,
         long_range_fraction=args.long_range_fraction,
     )
 
@@ -203,7 +191,6 @@ def _cmd_sweep(args) -> int:
                     gamma=g,
                     seed=seed,
                     threads=args.threads,
-                    leaf_capacity=args.capacity,
                 )
                 graph, stats = generate_with_stats(params)
                 report = analyze(graph)
@@ -218,50 +205,6 @@ def _cmd_sweep(args) -> int:
                 row["t_build_ns"] = stats.t_build_ns
                 row["t_edges_ns"] = stats.t_edges_ns
                 row["t_total_ns"] = stats.t_total_ns
-            cell_rows.append(row)
-        rows.extend(cell_rows)
-        rows.append(_average_row(cell_rows, fieldnames))
-    _write_csv(args.output, fieldnames, rows)
-    print(f"wrote {len(rows)} rows to {args.output}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    fieldnames = _RUN_FIELDS + ["R", "alpha", "m"] + _TIMING_FIELDS + ["edges_per_s"]
-    rows = []
-    for n, k, g in _grid_runs(args):
-        cell_rows = []
-        for rep in range(args.reps):
-            seed = args.seed + rep
-            row = {
-                "n_target": n,
-                "avg_degree_target": k,
-                "gamma": g,
-                "rep": rep,
-                "seed": seed,
-                "status": "ok",
-            }
-            try:
-                params = GeneratorParams(
-                    n=n,
-                    avg_degree=k,
-                    gamma=g,
-                    seed=seed,
-                    threads=args.threads,
-                    leaf_capacity=args.capacity,
-                )
-                _, stats = generate_with_stats(params)
-            except ValueError as exc:
-                row["status"] = f"error: {exc}"
-            else:
-                row["R"] = f"{stats.radius:.10g}"
-                row["alpha"] = f"{stats.alpha:.10g}"
-                row["m"] = stats.m
-                row["t_sample_ns"] = stats.t_sample_ns
-                row["t_build_ns"] = stats.t_build_ns
-                row["t_edges_ns"] = stats.t_edges_ns
-                row["t_total_ns"] = stats.t_total_ns
-                row["edges_per_s"] = f"{stats.m / (stats.t_total_ns / 1e9):.6g}"
             cell_rows.append(row)
         rows.extend(cell_rows)
         rows.append(_average_row(cell_rows, fieldnames))
@@ -289,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="grid of runs with full analysis, CSV out")
     _add_grid_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_bench = sub.add_parser("bench", help="grid of timing runs, CSV out")
-    _add_grid_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

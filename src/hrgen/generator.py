@@ -38,10 +38,10 @@ from .quadtree import PolarQuadtree
 # block order, so output is identical for any --threads value.
 _EDGE_CHUNK = 16384
 
-# Leaf capacity used for the generator's internal tree. The edge set is the
-# same for every capacity; larger leaves just trade tree-descent overhead
-# for scan width, and ~4x the tree's own default measures fastest here.
-DEFAULT_GENERATOR_CAPACITY = 512
+# Leaf capacity of the generator's tree. The edge set is the same for every
+# capacity; larger leaves just trade tree-descent overhead for scan width,
+# and ~4x the tree's own default measures fastest here.
+_LEAF_CAPACITY = 512
 
 # Entropy tag separating the long-range edge stream from the coordinate
 # stream when both derive from the same user seed.
@@ -64,7 +64,6 @@ class GeneratorParams:
     alpha: float | None = None
     seed: int = 0
     threads: int = 1
-    leaf_capacity: int = DEFAULT_GENERATOR_CAPACITY
     long_range_fraction: float = 0.0
 
     def __post_init__(self):
@@ -88,8 +87,6 @@ class GeneratorParams:
             raise ParameterDomainError("seed must be a 64-bit unsigned integer")
         if self.threads < 1:
             raise ParameterDomainError("threads must be at least 1")
-        if self.leaf_capacity < 1:
-            raise ParameterDomainError("leaf_capacity must be at least 1")
         if not 0.0 <= self.long_range_fraction < 1.0:
             raise ParameterDomainError("long_range_fraction must be in [0, 1)")
 
@@ -208,7 +205,7 @@ def generate_with_stats(params: GeneratorParams):
         coords.r_poincare,
         alpha=model.alpha,
         max_r=to_poincare_radius(model.R),
-        capacity=params.leaf_capacity,
+        capacity=_LEAF_CAPACITY,
     )
     t2 = time.perf_counter_ns()
 

@@ -15,15 +15,16 @@ point arrays, which are sorted by angle within each leaf.
 
 Range queries take a Euclidean circle and return the stored points strictly
 inside it. Many queries are processed level-synchronously with vectorized
-pruning: cells entirely inside a query circle contribute their whole point
-slice without inspection, cells entirely outside are dropped, and only
-boundary cells descend.
+pruning: cells entirely outside a query circle are dropped, the others
+descend, and at a leaf an angular window cut from the angle-sorted slice
+selects the candidates. Every candidate then goes through the one per-point
+test, squared Euclidean distance below squared radius, so that single
+comparison decides every reported point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,11 +45,10 @@ DEFAULT_LEAF_CAPACITY = 128
 # ever reach it.
 MAX_DEPTH = 64
 
-# Squared cell distance bounds are rounded outward by this much so float
-# rounding can only misclassify borderline cells toward "intersects", where
-# the exact per-point test runs anyway. Coordinates live in [-1, 1]; the
-# slack sits several orders above accumulated rounding error yet is invisible
-# to queries.
+# The squared distance from a query center to a cell is lowered by this much
+# so float rounding can only keep a borderline cell, where the exact
+# per-point test runs anyway. Coordinates live in [-1, 1]; the slack sits
+# several orders above accumulated rounding error yet is invisible to queries.
 _BOUNDS_SLACK_SQ = 5e-12
 
 # Angular candidate windows are widened by this much (radians) so that the
@@ -81,20 +81,11 @@ def splitting_radius(min_r_native, max_r_native, alpha):
     return math.acosh(mean) / alpha
 
 
-@dataclass(frozen=True)
-class CellBounds:
-    """Annulus sector [min_phi, max_phi) x [min_r, max_r), Poincare radii."""
-
-    min_phi: float
-    max_phi: float
-    min_r: float
-    max_r: float
-
-
 def _min_dist_sq(min_phi, max_phi, min_r, max_r, c_phi, c_r):
     """Conservative squared Euclidean distance from point (c_phi, c_r) to the
-    annulus sector, lowered by a slack so rounding errs toward "intersects";
-    vectorized over broadcastable arrays.
+    annulus sector [min_phi, max_phi) x [min_r, max_r), lowered by a slack so
+    rounding errs toward keeping the cell; vectorized over broadcastable
+    arrays.
 
     Works on cosines of angular offsets throughout: cos(a - b) equals the
     cosine of the wrapped angular distance, so no reduction mod 2*pi is
@@ -112,51 +103,6 @@ def _min_dist_sq(min_phi, max_phi, min_r, max_r, c_phi, c_r):
     radial = np.maximum(np.maximum(min_r - c_r, c_r - max_r), 0.0)
     dmin_sq = np.where(inside, radial * radial, edge_sq)
     return dmin_sq - _BOUNDS_SLACK_SQ
-
-
-def _max_dist_sq(min_phi, max_phi, min_r, max_r, c_phi, c_r):
-    """Conservative squared Euclidean distance to the farthest point of the
-    annulus sector, raised by a slack; vectorized like `_min_dist_sq`.
-
-    The farthest point sits on a bounding arc at the largest angular offset,
-    which is pi whenever the antipode of the query angle falls in the sector.
-    The inner arc can be the far one when the offset is small.
-    """
-    cos1 = np.cos(c_phi - min_phi)
-    cos2 = np.cos(c_phi - max_phi)
-    anti = np.where(c_phi >= math.pi, c_phi - math.pi, c_phi + math.pi)
-    anti_inside = (min_phi <= anti) & (anti <= max_phi)
-    cos_far = np.where(anti_inside, -1.0, np.minimum(cos1, cos2))
-    far_outer = c_r * c_r + max_r * max_r - 2.0 * c_r * max_r * cos_far
-    far_inner = c_r * c_r + min_r * min_r - 2.0 * c_r * min_r * cos_far
-    dmax_sq = np.maximum(far_outer, far_inner)
-    return dmax_sq + _BOUNDS_SLACK_SQ
-
-
-def _distance_bounds_sq(min_phi, max_phi, min_r, max_r, c_phi, c_r):
-    """(dmin^2, dmax^2) bounds from a point to an annulus sector."""
-    args = (min_phi, max_phi, min_r, max_r, c_phi, c_r)
-    return _min_dist_sq(*args), _max_dist_sq(*args)
-
-
-def cell_circle_relation(bounds: CellBounds, circle: EuclideanCircle) -> str:
-    """Classify a cell against a circle: "disjoint", "contained" (cell fully
-    inside the open disk), or "intersects". Borderline cases resolve to
-    "intersects", never falsely to the other two."""
-    dmin_sq, dmax_sq = _distance_bounds_sq(
-        bounds.min_phi,
-        bounds.max_phi,
-        bounds.min_r,
-        bounds.max_r,
-        circle.center.phi,
-        circle.center.r,
-    )
-    rad_sq = circle.radius * circle.radius
-    if dmin_sq >= rad_sq:
-        return "disjoint"
-    if dmax_sq < rad_sq:
-        return "contained"
-    return "intersects"
 
 
 class NodeView(NamedTuple):
@@ -323,9 +269,12 @@ class PolarQuadtree:
         """Stored point ids strictly inside each query circle.
 
         Circles are given in polar form (center angle, center Poincare radius,
-        Euclidean radius). Returns (query_index, point_id) pair arrays.
-        All circles advance through the tree together, one level per pass,
-        with pruning decisions made on whole arrays.
+        Euclidean radius). Returns (query_index, point_id) pair arrays; the
+        pairs are not sorted. All circles advance through the tree together, one
+        level per pass: a (circle, node) pair is dropped when the node's cell
+        lies outside the circle and otherwise descends. At a leaf, every
+        point in the circle's angular window is tested against it, and only
+        that test decides which points are reported.
         """
         c_phi = np.atleast_1d(np.asarray(center_phi, dtype=np.float64))
         c_r = np.atleast_1d(np.asarray(center_r, dtype=np.float64))
@@ -354,24 +303,6 @@ class PolarQuadtree:
             )
             alive = dmin_sq < rad_sq[q]
             q, node = q[alive], node[alive]
-            rsq = rad_sq[q]
-
-            # The far bound only matters for pairs that survived pruning.
-            dmax_sq = _max_dist_sq(
-                self.min_phi[node],
-                self.max_phi[node],
-                self.min_r[node],
-                self.max_r[node],
-                c_phi[q],
-                c_r[q],
-            )
-            contained = dmax_sq < rsq
-            if contained.any():
-                cn, cq = node[contained], q[contained]
-                s, e = self.start[cn], self.stop[cn]
-                out_p.append(multi_arange(s, e))
-                out_q.append(np.repeat(cq, e - s))
-                q, node = q[~contained], node[~contained]
 
             child = self.child0[node]
             at_leaf = child < 0

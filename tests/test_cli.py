@@ -144,25 +144,6 @@ def test_sweep_csv_structure(tmp_path, capsys):
     )
 
 
-def test_bench_csv_structure(tmp_path, capsys):
-    out = tmp_path / "bench.csv"
-    code, _, _ = run_cli(
-        capsys,
-        "bench",
-        "--nodes-list", "400",
-        "--degree-list", "4,8",
-        "--gamma-list", "3",
-        "--output", str(out),
-    )
-    assert code == 0
-    with open(out, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 4  # 2 cells x (1 rep + 1 mean)
-    run = rows[0]
-    assert int(run["t_total_ns"]) >= int(run["t_edges_ns"])
-    assert float(run["edges_per_s"]) > 0
-
-
 def test_infeasible_parameters_exit_one(tmp_path, capsys):
     code, stdout, stderr = run_cli(
         capsys,

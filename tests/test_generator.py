@@ -10,14 +10,16 @@ from hrgen import (
     GeneratorParams,
     InfeasibleParametersError,
     ParameterDomainError,
+    PolarQuadtree,
     add_long_range_edges,
     generate,
     generate_brute_force,
     generate_with_stats,
     radial_inverse_cdf,
     sample_points,
+    to_poincare_radius,
 )
-from hrgen.geometry import TWO_PI
+from hrgen.geometry import TWO_PI, circle_params
 
 
 def radial_cdf(r, alpha, radius):
@@ -160,10 +162,22 @@ def test_thread_count_does_not_change_output():
 
 
 def test_leaf_capacity_does_not_change_output():
-    base = dict(n=8000, avg_degree=10.0, gamma=3.0, seed=6)
-    g_small = generate(GeneratorParams(**base, leaf_capacity=32))
-    g_large = generate(GeneratorParams(**base, leaf_capacity=2048))
-    assert np.array_equal(g_small.indices, g_large.indices)
+    model = GeneratorParams(n=8000, avg_degree=10.0, gamma=3.0).resolve()
+    coords = sample_points(model.n, model.alpha, model.R, 6)
+    center_r, radii = circle_params(coords.r_poincare, model.R)
+    pair_sets = []
+    for capacity in (32, 2048):
+        tree = PolarQuadtree.build(
+            coords.phi,
+            coords.r_poincare,
+            alpha=model.alpha,
+            max_r=to_poincare_radius(model.R),
+            capacity=capacity,
+        )
+        qidx, ids = tree.query_many(coords.phi, center_r, radii)
+        pair_sets.append(np.unique(qidx * model.n + ids))
+    assert pair_sets[0].size > model.n
+    assert np.array_equal(*pair_sets)
 
 
 def test_realized_degree_tracks_target():

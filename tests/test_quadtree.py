@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrgen import (
-    CellBounds,
     EuclideanCircle,
     OutOfBoundsError,
     PoincarePoint,
     PolarQuadtree,
-    cell_circle_relation,
     splitting_radius,
     to_poincare_radius,
 )
 from hrgen.geometry import TWO_PI
-from hrgen.quadtree import MAX_DEPTH
+from hrgen.quadtree import MAX_DEPTH, _min_dist_sq
 
 
 def brute_circle_ids(phi, r, circle):
@@ -66,50 +64,41 @@ def test_splitting_radius_halves_mass(lo, width, alpha):
     assert below == pytest.approx(above, rel=1e-9)
 
 
-# -- cell vs circle classification -------------------------------------------
+# -- cell vs circle pruning --------------------------------------------------
 
 
 def test_cell_relation_basic_cases():
-    cell = CellBounds(0.0, math.pi / 2, 0.2, 0.5)
-    inside_all = EuclideanCircle(PoincarePoint(0.0, 0.0), 2.0)
-    assert cell_circle_relation(cell, inside_all) == "contained"
-    tiny_far = EuclideanCircle(PoincarePoint(math.pi, 0.9), 0.05)
-    assert cell_circle_relation(cell, tiny_far) == "disjoint"
-    crossing = EuclideanCircle(PoincarePoint(0.3, 0.35), 0.1)
-    assert cell_circle_relation(cell, crossing) == "intersects"
-
-
-def test_cell_relation_wide_cell_antipode():
-    # cell wider than pi: the far side of the annulus belongs to the cell,
-    # so a circle smaller than the far reach cannot contain it
-    cell = CellBounds(0.0, 1.9 * math.pi, 0.3, 0.6)
-    c = EuclideanCircle(PoincarePoint(0.0, 0.45), 0.8)
-    assert cell_circle_relation(cell, c) == "intersects"
-    assert cell_circle_relation(cell, EuclideanCircle(PoincarePoint(0.0, 0.45), 1.2)) == "contained"
+    cell = (0.0, math.pi / 2, 0.2, 0.5)
+    # a small circle on the far side of the disk: the cell is pruned
+    assert _min_dist_sq(*cell, math.pi, 0.9) >= 0.05**2
+    # a circle crossing the cell: the cell is kept
+    assert _min_dist_sq(*cell, 0.3, 0.35) < 0.1**2
 
 
 def test_cell_relation_agrees_with_dense_sampling():
+    # a cell the lower bound prunes holds no point inside the circle
     rng = np.random.default_rng(7)
+    pruned = 0
     for _ in range(300):
         lo_phi = rng.random() * TWO_PI
         width = rng.random() * (TWO_PI - lo_phi)
         lo_r = rng.random() * 0.8
         hi_r = lo_r + rng.random() * (0.95 - lo_r) + 1e-6
-        cell = CellBounds(lo_phi, lo_phi + width + 1e-6, lo_r, hi_r)
+        cell = (lo_phi, lo_phi + width + 1e-6, lo_r, hi_r)
         circle = EuclideanCircle(
             PoincarePoint(rng.random() * TWO_PI, rng.random() * 0.9),
             10 ** rng.uniform(-2, 0.3),
         )
-        rel = cell_circle_relation(cell, circle)
+        dmin_sq = _min_dist_sq(*cell, circle.center.phi, circle.center.r)
+        if dmin_sq < circle.radius**2:
+            continue
+        pruned += 1
         gp, gr = np.meshgrid(
-            np.linspace(cell.min_phi, cell.max_phi, 24, endpoint=False),
-            np.linspace(cell.min_r, hi_r - 1e-9, 24),
+            np.linspace(cell[0], cell[1], 24, endpoint=False),
+            np.linspace(lo_r, hi_r - 1e-9, 24),
         )
-        hits = brute_circle_ids(gp.ravel(), gr.ravel(), circle).size
-        if rel == "disjoint":
-            assert hits == 0
-        elif rel == "contained":
-            assert hits == gp.size
+        assert brute_circle_ids(gp.ravel(), gr.ravel(), circle).size == 0
+    assert pruned > 0
 
 
 # -- construction ------------------------------------------------------------
@@ -214,6 +203,8 @@ def test_duplicate_points_stop_splitting_at_depth_cap():
     st.floats(1e-4, 2.2),
 )
 @settings(max_examples=60, deadline=None)
+# a hub-like circle on a deep tree: centre near the origin, every point inside
+@example(n=300, capacity=1, seed=3, c_phi=2.0, c_r=0.01, rad=1.0)
 def test_query_equals_linear_scan(n, capacity, seed, c_phi, c_r, rad):
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
