@@ -29,7 +29,6 @@ from .generator import (
     generate,
     generate_brute_force,
     generate_with_stats,
-    radial_inverse_cdf,
     sample_points,
 )
 from .geometry import (
@@ -42,23 +41,19 @@ from .geometry import (
     hyperbolic_circle_to_euclidean,
     normalize_angle,
     poincare_distance,
+    radial_inverse_cdf,
     target_radius,
     to_native_radius,
     to_poincare_radius,
 )
 from .graph import Graph
 from .graphio import EdgeListHeader, read_edgelist, write_edgelist, write_metis
-from .quadtree import (
-    DEFAULT_LEAF_CAPACITY,
-    PolarQuadtree,
-    splitting_radius,
-)
+from .quadtree import PolarQuadtree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "DEFAULT_LEAF_CAPACITY",
     "EdgeListHeader",
     "EuclideanCircle",
     "GenerationStats",
@@ -95,7 +90,6 @@ __all__ = [
     "radial_inverse_cdf",
     "read_edgelist",
     "sample_points",
-    "splitting_radius",
     "target_radius",
     "to_native_radius",
     "to_poincare_radius",

@@ -27,6 +27,7 @@ from .geometry import (
     ModelParams,
     alpha_from_gamma,
     circle_params,
+    radial_inverse_cdf,
     target_radius,
     to_poincare_radius,
 )
@@ -38,9 +39,10 @@ from .quadtree import PolarQuadtree
 # block order, so output is identical for any --threads value.
 _EDGE_CHUNK = 16384
 
-# Leaf capacity of the generator's tree. The edge set is the same for every
-# capacity; larger leaves just trade tree-descent overhead for scan width,
-# and ~4x the tree's own default measures fastest here.
+# Expected points per leaf of the generator's tree, which sets the height of
+# its leaf grid: 512 gives the depth that splitting full leaves reached on
+# model input. The edge set is the same for every capacity; larger leaves
+# trade (circle, band) pairs for scan width.
 _LEAF_CAPACITY = 512
 
 # Entropy tag separating the long-range edge stream from the coordinate
@@ -141,24 +143,6 @@ class GenerationStats:
         return (
             self.t_sample_ns + self.t_build_ns + self.t_edges_ns + self.t_long_range_ns
         )
-
-
-def radial_inverse_cdf(u, alpha, radius):
-    """Quantile function of the radial density: the r with
-    (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) = u.
-
-    Evaluated as (2/alpha)*asinh(sqrt(u)*sinh(alpha*R/2)), which stays
-    accurate for u near 0 where the cosh form would cancel.
-    """
-    if not alpha > 0.0:
-        raise ParameterDomainError("alpha must be positive")
-    if not radius > 0.0:
-        raise ParameterDomainError("radius must be positive")
-    u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
-        raise ParameterDomainError("u must lie in [0, 1]")
-    out = (2.0 / alpha) * np.arcsinh(np.sqrt(u_arr) * math.sinh(alpha * radius / 2.0))
-    return out if np.ndim(u) else float(out)
 
 
 def sample_points(n, alpha, radius, seed) -> VertexCoordinates:

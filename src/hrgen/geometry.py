@@ -138,6 +138,24 @@ def poincare_distance(p: PoincarePoint, q: PoincarePoint) -> float:
     return 2.0 * math.asinh(d / math.sqrt(bp * bq))
 
 
+def radial_inverse_cdf(u, alpha, radius):
+    """Quantile function of the radial density: the r with
+    (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) = u.
+
+    Evaluated as (2/alpha)*asinh(sqrt(u)*sinh(alpha*R/2)), which stays
+    accurate for u near 0 where the cosh form would cancel.
+    """
+    if not alpha > 0.0:
+        raise ParameterDomainError("alpha must be positive")
+    if not radius > 0.0:
+        raise ParameterDomainError("radius must be positive")
+    u_arr = np.asarray(u, dtype=np.float64)
+    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+        raise ParameterDomainError("u must lie in [0, 1]")
+    out = (2.0 / alpha) * np.arcsinh(np.sqrt(u_arr) * math.sinh(alpha * radius / 2.0))
+    return out if np.ndim(u) else float(out)
+
+
 def circle_params(r_poincare, hyperbolic_radius):
     """Center radius and Euclidean radius of the disk holding all points at
     hyperbolic distance < hyperbolic_radius from a center at Poincare radius

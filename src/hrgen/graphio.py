@@ -8,6 +8,7 @@ files. A METIS adjacency writer is included for interoperability.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,8 @@ def write_edgelist(graph: Graph, path, header: EdgeListHeader | None = None):
 
 def read_edgelist(path):
     """Returns (graph, header-or-None). Files without a header get n from
-    the largest vertex id."""
+    the largest vertex id. Every non-blank line after the header must hold
+    exactly two integers; any other line raises ValueError."""
     header = None
     with open(path) as fh:
         first = fh.readline()
@@ -56,13 +58,19 @@ def read_edgelist(path):
                 radius=float(parts[3]),
                 alpha=float(parts[4]),
             )
-            body = fh.read()
         else:
-            body = first + fh.read()
-    if body.strip():
-        edges = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
+            fh.seek(0)
+        with warnings.catch_warnings():
+            # A file without edges is valid; loadtxt would warn about it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                edges = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    elif edges.shape[1] != 2:
+        raise ValueError(f"{path}: every edge line must hold two vertex ids")
     n = header.n if header is not None else (int(edges.max()) + 1 if edges.size else 0)
     graph = Graph.from_edge_arrays(n, edges[:, 0], edges[:, 1])
     if header is not None and graph.m != header.m:

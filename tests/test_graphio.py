@@ -72,6 +72,24 @@ def test_malformed_header_rejected(tmp_path):
         read_edgelist(path)
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0 1\n2 3 4\n5\n",
+        "# 6 3 0 1.0 1.0\n0 1\n2 3 4\n5\n",
+        "0 1 2 3\n",
+        "0\n1\n",
+        "0 1\n2 x\n",
+    ],
+)
+def test_misshapen_edge_lines_rejected(tmp_path, body):
+    # a line must hold exactly two integers; lines are not run together
+    path = tmp_path / "bad.edges"
+    path.write_text(body)
+    with pytest.raises(ValueError):
+        read_edgelist(path)
+
+
 def test_generated_graph_roundtrip(tmp_path):
     g = generate(GeneratorParams(n=2000, avg_degree=8.0, gamma=3.0, seed=5))
     path = tmp_path / "big.edges"

@@ -10,11 +10,9 @@ from hrgen import (
     OutOfBoundsError,
     PoincarePoint,
     PolarQuadtree,
-    splitting_radius,
-    to_poincare_radius,
 )
 from hrgen.geometry import TWO_PI
-from hrgen.quadtree import MAX_DEPTH, _min_dist_sq
+from hrgen.quadtree import band_boundaries
 
 
 def brute_circle_ids(phi, r, circle):
@@ -31,74 +29,48 @@ def random_points(rng, n, max_r=0.98):
     return phi, r
 
 
-# -- splitting ---------------------------------------------------------------
+# -- splitting radii: the band boundaries ------------------------------------
 
 
 def test_splitting_radius_frozen_oracle():
-    # cosh(acosh(3) * 1) = 3; (3 + 1) / 2 = 2, so the split sits at acosh(2)
-    assert splitting_radius(0.0, math.acosh(3.0), 1.0) == pytest.approx(
-        math.acosh(2.0), abs=1e-14
-    )
+    # cosh(b) - 1 at the boundaries is (2/4) * (1/4, 1/2, 1, 2, 3, 4)
+    want = [0.0] + [math.acosh(1.0 + m / 2.0) for m in (0.25, 0.5, 1, 2, 3, 4)]
+    got = band_boundaries(4, 2, 1.0, math.acosh(3.0))
+    assert got == pytest.approx(want, abs=1e-14)
+    assert got[0] == 0.0
 
 
 def test_splitting_radius_domain():
     with pytest.raises(ValueError):
-        splitting_radius(1.0, 1.0, 1.0)
+        band_boundaries(0, 0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        splitting_radius(-0.1, 1.0, 1.0)
+        band_boundaries(4, -1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        splitting_radius(0.0, 1.0, 0.0)
+        band_boundaries(4, 0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        band_boundaries(4, 0, 1.0, 0.0)
 
 
 @given(
-    st.floats(0.0, 20.0),
-    st.floats(0.01, 15.0),
+    st.integers(0, 10),
+    st.integers(0, 20),
+    st.floats(0.01, 35.0),
     st.floats(0.55, 4.0),
 )
-def test_splitting_radius_halves_mass(lo, width, alpha):
-    hi = lo + width
-    s = splitting_radius(lo, hi, alpha)
-    assert lo < s < hi
-    below = math.cosh(alpha * s) - math.cosh(alpha * lo)
-    above = math.cosh(alpha * hi) - math.cosh(alpha * s)
-    assert below == pytest.approx(above, rel=1e-9)
-
-
-# -- cell vs circle pruning --------------------------------------------------
-
-
-def test_cell_relation_basic_cases():
-    cell = (0.0, math.pi / 2, 0.2, 0.5)
-    # a small circle on the far side of the disk: the cell is pruned
-    assert _min_dist_sq(*cell, math.pi, 0.9) >= 0.05**2
-    # a circle crossing the cell: the cell is kept
-    assert _min_dist_sq(*cell, 0.3, 0.35) < 0.1**2
-
-
-def test_cell_relation_agrees_with_dense_sampling():
-    # a cell the lower bound prunes holds no point inside the circle
-    rng = np.random.default_rng(7)
-    pruned = 0
-    for _ in range(300):
-        lo_phi = rng.random() * TWO_PI
-        width = rng.random() * (TWO_PI - lo_phi)
-        lo_r = rng.random() * 0.8
-        hi_r = lo_r + rng.random() * (0.95 - lo_r) + 1e-6
-        cell = (lo_phi, lo_phi + width + 1e-6, lo_r, hi_r)
-        circle = EuclideanCircle(
-            PoincarePoint(rng.random() * TWO_PI, rng.random() * 0.9),
-            10 ** rng.uniform(-2, 0.3),
-        )
-        dmin_sq = _min_dist_sq(*cell, circle.center.phi, circle.center.r)
-        if dmin_sq < circle.radius**2:
-            continue
-        pruned += 1
-        gp, gr = np.meshgrid(
-            np.linspace(cell[0], cell[1], 24, endpoint=False),
-            np.linspace(lo_r, hi_r - 1e-9, 24),
-        )
-        assert brute_circle_ids(gp.ravel(), gr.ravel(), circle).size == 0
-    assert pruned > 0
+def test_splitting_radius_halves_mass(h, core, radius, alpha):
+    rows = 2**h
+    b = band_boundaries(rows, core, alpha, radius)
+    assert b.shape == (rows + core + 1,) and b[0] == 0.0
+    assert b[-1] == pytest.approx(radius, rel=1e-12)
+    assert np.all(np.diff(b) > 0.0)
+    # 1 / 2**h of the mass per row is every split halving its shell's mass,
+    # and each core band above the innermost holds as much as all below it;
+    # mass below b is proportional to cosh(alpha*b) - 1 = 2 sinh^2(alpha*b/2)
+    below = np.sinh(alpha * b / 2.0) ** 2
+    mass = np.diff(below) / math.sinh(alpha * radius / 2.0) ** 2
+    inner = 0.5 ** np.array([core] + list(range(core, 0, -1)))
+    want = np.concatenate((inner, np.ones(rows - 1))) / rows
+    assert mass == pytest.approx(want, rel=1e-9)
 
 
 # -- construction ------------------------------------------------------------
@@ -139,39 +111,47 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
     if coarse:
-        # few distinct coordinates: angle ties inside leaves, piled-up cells
+        # few distinct coordinates: angle ties inside bands, piled-up cells
         phi = np.round(phi, 1) % TWO_PI
         r = np.round(r, 1) % 0.98
     ids = rng.permutation(n)
     tree = PolarQuadtree.build(phi, r, ids, alpha=alpha, max_r=0.98, capacity=capacity)
     assert len(tree) == n
-    size = tree.stop - tree.start
-    inner = tree.child0 >= 0
-    leaf = ~inner
-    assert np.all((size[leaf] <= capacity) | (tree.depth[leaf] == MAX_DEPTH))
-    assert np.all(size[inner] > capacity)
-    assert np.all(tree.depth[inner] < MAX_DEPTH)
-    # children are consecutive, one level down, and tile their parent's slice
-    for node in np.flatnonzero(inner):
-        kids = tree.child0[node] + np.arange(4)
-        assert np.all(tree.depth[kids] == tree.depth[node] + 1)
-        assert tree.start[kids[0]] == tree.start[node]
-        assert np.array_equal(tree.stop[kids[:3]], tree.start[kids[1:]])
-        assert tree.stop[kids[3]] == tree.stop[node]
-    assert tree.start[0] == 0 and tree.stop[0] == n
-    assert np.array_equal(np.sort(tree.child0[inner]), 1 + 4 * np.arange(inner.sum()))
-    # every point lies in its leaf's cell; leaf slices are sorted by (angle, id)
-    owner = np.repeat(np.flatnonzero(leaf), size[leaf])
-    owner = owner[np.argsort(np.repeat(tree.start[leaf], size[leaf]), kind="stable")]
-    assert np.all(tree.min_phi[owner] <= tree.p_phi)
-    assert np.all(tree.p_phi < tree.max_phi[owner])
-    assert np.all(tree.min_r[owner] <= tree.p_r)
-    assert np.all(tree.p_r < tree.max_r[owner])
-    same = owner[1:] == owner[:-1]
+    h = tree.height()
+    assert n <= capacity * 4**h and (h == 0 or n > capacity * 4 ** (h - 1))
+    n_rows, core = 2**h, tree.core
+    assert n <= n_rows * 2**core and (core == 0 or n > n_rows * 2 ** (core - 1))
+    assert tree.band_ptr[0] == 0 and tree.band_ptr[-1] == n
+    assert np.all(np.diff(tree.band_ptr) >= 0)
+    # every point lies in its band, and in its leaf's row and sector
+    band = np.repeat(np.arange(n_rows + core), np.diff(tree.band_ptr))
+    assert np.all(tree.band_r[band] <= tree.p_r)
+    assert np.all(tree.p_r < tree.band_r[band + 1])
+    row_r = np.concatenate(([0.0], tree.band_r[core + 1 :]))
+    width = TWO_PI / n_rows
+    phi_of, r_of = np.empty(n), np.empty(n)
+    phi_of[ids], r_of[ids] = phi, r
+    leaves = tree.leaves()
+    assert len(leaves) == 4**h
+    for leaf in leaves:
+        got = tree.leaf_point_ids(leaf)
+        assert got.size == leaf.size
+        assert np.all(row_r[leaf.row] <= r_of[got])
+        assert np.all(r_of[got] < row_r[leaf.row + 1])
+        assert np.all(leaf.sector * width <= phi_of[got])
+        assert np.all(phi_of[got] < (leaf.sector + 1) * width)
+    assert sum(leaf.size for leaf in leaves) == n
+    # bands are sorted by (angle, id) and p_key ascends
+    same = band[1:] == band[:-1]
     step = np.diff(tree.p_phi)
     assert np.all(step[same] >= 0.0)
     assert np.all(np.diff(tree.p_id)[same & (step == 0.0)] > 0)
     assert np.all(np.diff(tree.p_key) >= 0.0)
+    # each occupied band keeps the radius range of its points
+    assert np.array_equal(tree.bands, np.unique(band))
+    for k, lo, hi in zip(tree.bands, tree.band_rmin, tree.band_rmax):
+        stored = tree.p_r[band == k]
+        assert (lo, hi) == (stored.min(), stored.max())
     # the stored points are the input points
     by_id = np.argsort(tree.p_id)
     assert np.array_equal(tree.p_id[by_id], np.arange(n))
@@ -179,14 +159,14 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     assert np.array_equal(tree.p_r[by_id], r[np.argsort(ids)])
 
 
-def test_duplicate_points_stop_splitting_at_depth_cap():
+def test_duplicate_points_share_one_cell():
     tree = PolarQuadtree.build(
         np.full(40, 1.0), np.full(40, 0.5), alpha=1.0, max_r=0.9, capacity=1
     )
-    assert len(tree) == 40
-    assert tree.height() == MAX_DEPTH
+    assert len(tree) == 40 and tree.height() == 3
     [leaf] = [lf for lf in tree.leaves() if lf.size]
-    assert leaf.size == 40 and leaf.depth == MAX_DEPTH
+    assert leaf.size == 40
+    assert np.array_equal(tree.leaf_point_ids(leaf), np.arange(40))
     got = tree.query_circle(EuclideanCircle(PoincarePoint(1.0, 0.5), 1e-6))
     assert np.array_equal(got, np.arange(40))
 
@@ -203,8 +183,14 @@ def test_duplicate_points_stop_splitting_at_depth_cap():
     st.floats(1e-4, 2.2),
 )
 @settings(max_examples=60, deadline=None)
-# a hub-like circle on a deep tree: centre near the origin, every point inside
+# a hub-like circle on a many-row grid: centre near the origin, every point inside
 @example(n=300, capacity=1, seed=3, c_phi=2.0, c_r=0.01, rad=1.0)
+# a subnormal centre radius, where the window's quotient would overflow
+@example(n=0, capacity=1, seed=0, c_phi=0.0, c_r=2.225073858507e-311, rad=1.0)
+@example(n=300, capacity=1, seed=0, c_phi=0.0, c_r=2.225073858507e-311, rad=0.3)
+# small circles straddling phi = 0 from each side, with hits on both sides
+@example(n=300, capacity=1, seed=0, c_phi=0.02, c_r=0.8, rad=0.15)
+@example(n=300, capacity=1, seed=0, c_phi=TWO_PI - 0.02, c_r=0.8, rad=0.15)
 def test_query_equals_linear_scan(n, capacity, seed, c_phi, c_r, rad):
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
@@ -265,16 +251,21 @@ def test_tree_shape_accounting():
     rng = np.random.default_rng(2)
     phi, r = random_points(rng, 2000)
     tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=32)
-    leaves = tree.leaves()
-    assert sum(leaf.size for leaf in leaves) == 2000
-    assert all(leaf.size <= 32 for leaf in leaves)
+    assert tree.height() == 3  # 32 * 4**3 = 2048 >= 2000 > 32 * 4**2
     [root] = tree.nodes_at_depth(0)
-    assert (root.index, root.depth, root.size) == (0, 0, 2000)
+    assert (root.depth, root.row, root.sector, root.size) == (0, 0, 0, 2000)
+    # a depth-1 node is half the radial mass times a half turn
     d1 = tree.nodes_at_depth(1)
-    assert [nd.index for nd in d1] == [1, 2, 3, 4]
-    assert sum(nd.size for nd in d1) == 2000
-    assert tree.height() == max(leaf.depth for leaf in leaves) >= 1
-    assert tree.nodes_at_depth(tree.height() + 1) == []
+    assert [(nd.row, nd.sector) for nd in d1] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    outer = r >= tree.band_r[tree.core + 4]
+    upper = phi >= math.pi
+    assert [nd.size for nd in d1] == [
+        int(np.sum((outer == i) & (upper == j))) for i in (0, 1) for j in (0, 1)
+    ]
+    leaves = tree.leaves()
+    assert len(leaves) == 64
+    assert sum(leaf.size for leaf in leaves) == 2000
+    assert tree.nodes_at_depth(4) == []
     ids = np.concatenate([tree.leaf_point_ids(leaf) for leaf in leaves])
     assert np.array_equal(np.sort(ids), np.arange(2000))
 
