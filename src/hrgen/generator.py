@@ -267,9 +267,12 @@ def generate_brute_force(coords: VertexCoordinates, radius) -> Graph:
 def add_long_range_edges(graph: Graph, fraction, seed) -> Graph:
     """Add ceil(fraction * m) uniformly random absent edges to the graph.
 
-    Pairs are drawn with rejection until enough new edges are found; the
-    pair stream is independent of the coordinate stream for the same seed.
-    Raises InfeasibleParametersError when the graph lacks room.
+    The new edges are the first k pairs of a stream, independent of the
+    coordinate stream for the same seed, that are no self-loop, edge or
+    repeat. Batched draws leave that stream unchanged, as the bit generator
+    buffers the spare half of each 64-bit output. The edges are merged into
+    the sorted CSR arrays. Raises InfeasibleParametersError when the graph
+    lacks room.
     """
     if not 0.0 <= fraction < 1.0:
         raise ParameterDomainError("fraction must be in [0, 1)")
@@ -283,24 +286,23 @@ def add_long_range_edges(graph: Graph, fraction, seed) -> Graph:
             f"cannot add {k} edges, only {absent} vertex pairs are free"
         )
     rng = np.random.default_rng([seed, _LONG_RANGE_STREAM])
-    added = set()
-    new_u = np.empty(k, dtype=np.int64)
-    new_v = np.empty(k, dtype=np.int64)
-    got = 0
-    while got < k:
-        a, c = rng.integers(0, n, size=2)
-        if a == c:
-            continue
-        lo, hi = (a, c) if a < c else (c, a)
-        if (lo, hi) in added or graph.has_edge(lo, hi):
-            continue
-        added.add((lo, hi))
-        new_u[got] = lo
-        new_v[got] = hi
-        got += 1
-    old = graph.edge_array()
-    return Graph.from_edge_arrays(
-        n,
-        np.concatenate((old[:, 0], new_u)),
-        np.concatenate((old[:, 1], new_v)),
-    )
+    # Row-major keys of the graph's entries, in CSR order; k > 0 implies m > 0.
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, graph.degrees()) + graph.indices
+    found = np.empty(0, dtype=np.int64)  # new keys, in stream order
+    while found.size < k:
+        # Expected draws per new edge are n^2 / (2 absent), a bit more as repeats
+        # accumulate: draw 1/8 more, in batches of at most 16 MB of pairs.
+        size = min((k - found.size) * n * n * 9 // (16 * absent) + 64, 1 << 20)
+        pairs = rng.integers(0, n, size=(size, 2))
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        stream = np.concatenate((found, (lo * n + hi)[lo != hi]))
+        # Distinct pairs at their first position; sorted lookups stay local.
+        uniq, first = np.unique(stream, return_index=True)
+        at = np.minimum(np.searchsorted(keys, uniq), keys.size - 1)
+        found = stream[np.sort(first[keys[at] != uniq])][:k]
+    lo, hi = np.divmod(found, n)
+    new = np.sort(np.concatenate((found, hi * n + lo)))
+    # Row v moves right by the number of new entries in rows before it.
+    indptr = graph.indptr + np.searchsorted(new, np.arange(n + 1) * n)
+    indices = np.insert(graph.indices, np.searchsorted(keys, new), new % n)
+    return Graph(indptr=indptr, indices=indices)

@@ -72,12 +72,6 @@ class EuclideanCircle:
         if not self.radius >= 0.0:
             raise ValueError(f"circle radius must be >= 0, got {self.radius}")
 
-    def contains(self, p: PoincarePoint) -> bool:
-        """Strict containment test (points on the boundary are outside)."""
-        px, py = p.to_cartesian()
-        cx, cy = self.center.to_cartesian()
-        return math.hypot(px - cx, py - cy) < self.radius
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -143,7 +137,7 @@ def radial_inverse_cdf(u, alpha, radius):
     (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) = u.
 
     Evaluated as (2/alpha)*asinh(sqrt(u)*sinh(alpha*R/2)), which stays
-    accurate for u near 0 where the cosh form would cancel.
+    accurate for u near 0 where the cosh form would cancel, and capped at R.
     """
     if not alpha > 0.0:
         raise ParameterDomainError("alpha must be positive")
@@ -153,7 +147,7 @@ def radial_inverse_cdf(u, alpha, radius):
     if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
         raise ParameterDomainError("u must lie in [0, 1]")
     out = (2.0 / alpha) * np.arcsinh(np.sqrt(u_arr) * math.sinh(alpha * radius / 2.0))
-    return out if np.ndim(u) else float(out)
+    return np.minimum(out, radius) if np.ndim(u) else min(float(out), radius)
 
 
 def circle_params(r_poincare, hyperbolic_radius):

@@ -2,7 +2,9 @@
 
 Adjacency is stored CSR-style: `indices[indptr[v]:indptr[v+1]]` is the sorted
 neighbor list of v. Construction rejects self-loops and parallel edges, so
-every instance is simple and structurally symmetric by construction.
+every instance is simple and structurally symmetric by construction. The
+entries, read in order, follow the row-major keys v*n + w in ascending
+order: construction sorts those int64 keys once.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+MAX_N = 3_037_000_499  # largest n whose keys, up to n*n - 1, fit in int64
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,11 @@ class Graph:
     def from_edge_arrays(cls, n, u, v):
         """Build from parallel endpoint arrays, one entry per undirected edge
         (either orientation). Raises ValueError on self-loops, duplicate
-        edges, or endpoints outside [0, n)."""
+        edges (equal neighbouring keys), endpoints outside [0, n), or n above
+        MAX_N."""
         n = int(n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        if not 0 <= n <= MAX_N:
+            raise ValueError(f"n must be in [0, {MAX_N}]")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.shape != v.shape or u.ndim != 1:
@@ -59,23 +64,15 @@ class Graph:
                 raise ValueError("vertex id outside [0, n)")
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
-        src = np.concatenate((u, v))
-        dst = np.concatenate((v, u))
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if src.size:
-            dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-            if dup.any():
-                raise ValueError("duplicate edge")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr=indptr, indices=dst)
+        keys = np.concatenate((u * n + v, v * n + u))
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate edge")
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        return cls(indptr=indptr, indices=keys % max(n, 1))
 
     @classmethod
     def from_edges(cls, n, edges):
         """Build from an iterable of (u, v) pairs; convenience for tests."""
-        pairs = list(edges)
-        if not pairs:
-            return cls.from_edge_arrays(n, [], [])
-        arr = np.asarray(pairs, dtype=np.int64)
-        return cls.from_edge_arrays(n, arr[:, 0], arr[:, 1])
+        u, v = np.asarray(list(edges) or np.empty((0, 2)), dtype=np.int64).T
+        return cls.from_edge_arrays(n, u, v)

@@ -3,7 +3,8 @@
 The native format is an edge list: one optional header line
 `# n m seed R alpha`, then one `u v` line per edge with 0-based ids, u < v,
 sorted lexicographically. Identical graphs and headers produce byte-identical
-files. A METIS adjacency writer is included for interoperability.
+files. A METIS adjacency writer is included for interoperability. Both
+writers build their digits in numpy and write the file in binary mode.
 """
 
 from __future__ import annotations
@@ -30,14 +31,38 @@ class EdgeListHeader:
         return f"# {self.n} {self.m} {self.seed} {self.radius!r} {self.alpha!r}\n"
 
 
+def _write_ints(fh, values, seps):
+    """Write each value in decimal, then its separator byte; a negative value
+    writes its separator alone. Each block is a digit matrix, one row per
+    value, whose leading zeros are masked out before the bytes are written."""
+    for lo in range(0, values.size, _WRITE_BLOCK):
+        vals = values[lo : lo + _WRITE_BLOCK]
+        width = len(str(max(int(vals.max()), 0)))
+        text = np.empty((vals.size, width + 1), dtype=np.uint8)
+        keep = np.ones(text.shape, dtype=bool)
+        rest = vals
+        for col in range(width - 1, -1, -1):
+            keep[:, col] = rest > 0
+            quot = rest // 10
+            text[:, col] = rest - quot * 10
+            rest = quot
+        keep[:, width - 1] = vals >= 0
+        text += ord("0")
+        text[:, width] = seps[lo : lo + _WRITE_BLOCK]
+        fh.write(text[keep])
+
+
 def write_edgelist(graph: Graph, path, header: EdgeListHeader | None = None):
+    """Raises ValueError, before opening the file, on a header whose n or m
+    is not the graph's."""
+    if header is not None and (header.n, header.m) != (graph.n, graph.m):
+        raise ValueError(f"header n, m = {header.n}, {header.m} contradicts the graph")
     edges = graph.edge_array()
-    with open(path, "w") as fh:
+    seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), edges.shape[0])
+    with open(path, "wb") as fh:
         if header is not None:
-            fh.write(header.line())
-        for lo in range(0, edges.shape[0], _WRITE_BLOCK):
-            block = edges[lo : lo + _WRITE_BLOCK].tolist()
-            fh.write("".join(f"{u} {v}\n" for u, v in block))
+            fh.write(header.line().encode())
+        _write_ints(fh, edges.ravel(), seps)
 
 
 def read_edgelist(path):
@@ -82,10 +107,11 @@ def read_edgelist(path):
 
 def write_metis(graph: Graph, path):
     """METIS adjacency format: header `n m`, then per-vertex neighbor lists
-    with 1-based ids."""
-    with open(path, "w") as fh:
-        fh.write(f"{graph.n} {graph.m}\n")
-        indptr, indices = graph.indptr, graph.indices
-        for v in range(graph.n):
-            row = indices[indptr[v] : indptr[v + 1]] + 1
-            fh.write(" ".join(map(str, row.tolist())) + "\n")
+    with 1-based ids; a -1 entry writes an isolated vertex's empty line."""
+    deg = graph.degrees()
+    values = np.insert(graph.indices + 1, graph.indptr[:-1][deg == 0], -1)
+    seps = np.full(values.size, ord(" "), dtype=np.uint8)
+    seps[np.cumsum(np.maximum(deg, 1)) - 1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{graph.n} {graph.m}\n".encode())
+        _write_ints(fh, values, seps)

@@ -10,6 +10,7 @@ from collections import deque
 import numpy as np
 
 from hrgen import Graph
+from hrgen.generator import _LONG_RANGE_STREAM
 
 
 def adjacency_sets(graph: Graph):
@@ -148,3 +149,48 @@ def gnp_graph(n, p, rng) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def csr_lexsort(n, u, v):
+    """CSR arrays (indptr, indices) of an edge list by a lexsort of both
+    directions of every edge; input is assumed valid."""
+    src = np.concatenate((u, v)).astype(np.int64)
+    dst = np.concatenate((v, u)).astype(np.int64)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
+
+
+def long_range_scalar(graph: Graph, fraction, seed) -> Graph:
+    """Shortcut sampler with one draw per candidate pair: a pair becomes an
+    edge unless it is a self-loop, an edge already, or an earlier pick."""
+    k = math.ceil(fraction * graph.m)
+    n = graph.n
+    rng = np.random.default_rng([seed, _LONG_RANGE_STREAM])
+    added = {}  # a set that keeps the order of insertion
+    while len(added) < k:
+        a, c = rng.integers(0, n, size=2).tolist()
+        lo, hi = min(a, c), max(a, c)
+        if lo == hi or (lo, hi) in added or graph.has_edge(lo, hi):
+            continue
+        added[lo, hi] = None
+    new = np.array(list(added), dtype=np.int64).reshape(-1, 2)
+    edges = np.concatenate((graph.edge_array(), new))
+    indptr, indices = csr_lexsort(n, edges[:, 0], edges[:, 1])
+    return Graph(indptr=indptr, indices=indices)
+
+
+def write_edgelist_lines(graph: Graph, path, header=None):
+    """Edge-list writer with one formatted line per edge."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header.line())
+        fh.write("".join(f"{u} {v}\n" for u, v in graph.edge_array().tolist()))
+
+
+def write_metis_lines(graph: Graph, path):
+    """METIS writer with one joined line per vertex."""
+    with open(path, "w") as fh:
+        fh.write(f"{graph.n} {graph.m}\n")
+        for v in range(graph.n):
+            fh.write(" ".join(map(str, (graph.neighbors(v) + 1).tolist())) + "\n")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -182,3 +183,38 @@ def test_missing_required_flag_is_an_argparse_error(tmp_path):
         main(["generate", "--nodes", "10", "--gamma", "3",
               "--output", str(tmp_path / "x")])
     assert exc.value.code == 2
+
+
+# sha256 of files written before the writers, the CSR build and the shortcut
+# sampler were vectorized; any change to the output bytes fails here.
+PINNED_OUTPUTS = [
+    (
+        ["--avg-degree", "8", "--gamma", "3", "--threads", "1"],
+        "edgelist",
+        "23d21bb62eb5d2f9a05d037f116a68aa3a0aac80286ea77c20c30fed003b3fa9",
+    ),
+    (
+        ["--avg-degree", "32", "--gamma", "2.2", "--threads", "2",
+         "--long-range-fraction", "0.05"],
+        "edgelist",
+        "76b506f1fc4c8175156132cb352498918d819cfcf02f07693cf973801d4ccd5d",
+    ),
+    (
+        # this graph has 8 isolated vertices, i.e. empty METIS lines
+        ["--avg-degree", "8", "--gamma", "3", "--threads", "1"],
+        "metis",
+        "65769e18bffc2d6f4d7033716669460e60a6cc4c550ad4c0f56e76bcd81d83f7",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, fmt, digest", PINNED_OUTPUTS)
+def test_output_bytes_pinned(tmp_path, capsys, flags, fmt, digest):
+    out = tmp_path / "g.out"
+    code, _, _ = run_cli(
+        capsys,
+        "generate", "--nodes", "2000", "--seed", "5", *flags,
+        "--format", fmt, "--output", str(out),
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from hrgen import (
     GeneratorParams,
+    Graph,
     InfeasibleParametersError,
     ParameterDomainError,
     PolarQuadtree,
@@ -20,6 +21,8 @@ from hrgen import (
     to_poincare_radius,
 )
 from hrgen.geometry import TWO_PI, circle_params
+
+from helpers import gnp_graph, long_range_scalar
 
 
 def radial_cdf(r, alpha, radius):
@@ -72,6 +75,7 @@ def test_resolve_translates_gamma_and_degree():
     st.floats(0.55, 3.0),
     st.floats(2.0, 25.0),
 )
+@example(u=1.0, alpha=2.3424380972459797, radius=23.5)  # rounds past R uncapped
 def test_radial_inverse_cdf_inverts_the_cdf(u, alpha, radius):
     r = radial_inverse_cdf(u, alpha, radius)
     assert 0.0 <= r <= radius
@@ -227,3 +231,50 @@ def test_long_range_rejects_full_graph():
     assert full.m == 6
     with pytest.raises(InfeasibleParametersError):
         add_long_range_edges(full, 0.5, seed=0)
+
+
+def _near_complete_graph():
+    # 30 vertices, all but 20 of the 435 pairs present: most draws are
+    # rejected, and the last picks often repeat earlier ones
+    rng = np.random.default_rng(4)
+    u, v = np.nonzero(np.triu(np.ones((30, 30), dtype=bool), k=1))
+    keep = np.sort(rng.permutation(u.size)[20:])
+    return Graph.from_edge_arrays(30, u[keep], v[keep])
+
+
+@pytest.mark.parametrize(
+    "make, fraction, seed",
+    [
+        (lambda: generate(GeneratorParams(n=2000, avg_degree=8.0, gamma=3.0, seed=5)), 0.05, 5),
+        (lambda: generate(GeneratorParams(n=3000, avg_degree=6.0, gamma=2.2, seed=1)), 0.3, 9),
+        (lambda: gnp_graph(60, 0.3, np.random.default_rng(1)), 0.5, 3),
+        (lambda: Graph.from_edges(5, [(0, 1)]), 0.99, 0),
+        (_near_complete_graph, 0.045, 0),
+        (_near_complete_graph, 0.045, 11),
+    ],
+)
+def test_long_range_edges_match_scalar_oracle(make, fraction, seed):
+    # batched draws must pick exactly the pairs of one draw per pair
+    graph = make()
+    got = add_long_range_edges(graph, fraction, seed)
+    want = long_range_scalar(graph, fraction, seed)
+    assert got.m == graph.m + math.ceil(fraction * graph.m)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+def test_generation_with_shortcuts_builds_the_csr_once(monkeypatch):
+    calls = []
+    build = Graph.from_edge_arrays.__func__
+
+    def counted(cls, *args):
+        calls.append(args[0])
+        return build(cls, *args)
+
+    monkeypatch.setattr(Graph, "from_edge_arrays", classmethod(counted))
+    params = GeneratorParams(
+        n=3000, avg_degree=8.0, gamma=3.0, seed=1, threads=2, long_range_fraction=0.05
+    )
+    graph, _ = generate_with_stats(params)
+    assert calls == [3000]
+    assert graph.m > 0

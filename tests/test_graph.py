@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrgen import Graph
+from hrgen.graph import MAX_N
+
+from helpers import csr_lexsort
 
 
 def test_empty_graph():
@@ -70,3 +73,52 @@ def test_edge_input_order_is_irrelevant():
     b = Graph.from_edges(5, list(reversed(e)))
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.indptr, b.indptr)
+
+
+def random_edge_list(n, density, seed):
+    """A random simple edge list on n vertices, each edge in random
+    orientation, in random order."""
+    rng = np.random.default_rng(seed)
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    flip = rng.random(u.size) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    order = rng.permutation(u.size)
+    return u[order], v[order]
+
+
+@given(st.integers(0, 200), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_from_edge_arrays_matches_lexsort_oracle(n, density, seed):
+    # sparse draws leave isolated vertices, including the first and the last
+    u, v = random_edge_list(n, density, seed)
+    g = Graph.from_edge_arrays(n, u, v)
+    indptr, indices = csr_lexsort(n, u, v)
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+
+
+@pytest.mark.parametrize("flaw", ["reversed_duplicate", "self_loop", "id_n", "id_negative"])
+@given(st.integers(2, 120), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_from_edge_arrays_rejects_flawed_input(flaw, n, seed):
+    u, v = random_edge_list(n, 0.2, seed)
+    rng = np.random.default_rng(seed)
+    if u.size == 0:
+        u, v = np.array([0]), np.array([1])
+    i = int(rng.integers(0, u.size))
+    bad_u, bad_v = {
+        "reversed_duplicate": (v[i], u[i]),
+        "self_loop": (u[i], u[i]),
+        "id_n": (u[i], n),
+        "id_negative": (-1, v[i]),
+    }[flaw]
+    at = int(rng.integers(0, u.size + 1))
+    with pytest.raises(ValueError):
+        Graph.from_edge_arrays(n, np.insert(u, at, bad_u), np.insert(v, at, bad_v))
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 2**32])
+def test_from_edge_arrays_rejects_n_beyond_int64_keys(n):
+    # the bound is checked before indptr (n + 1 entries) is allocated
+    with pytest.raises(ValueError, match="n must be in"):
+        Graph.from_edge_arrays(n, [0], [1])

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hrgen import (
     EdgeListHeader,
@@ -10,6 +14,10 @@ from hrgen import (
     write_edgelist,
     write_metis,
 )
+
+from hrgen import graphio
+
+from helpers import write_edgelist_lines, write_metis_lines
 
 
 def test_header_line_format():
@@ -108,3 +116,44 @@ def test_metis_format(tmp_path):
     # every edge appears once in each direction
     total = sum(len(l.split()) for l in lines[1:])
     assert total == 2 * g.m
+
+
+@pytest.mark.parametrize("dn, dm", [(1, 1), (1, 0), (0, 1), (-1, 0)])
+def test_header_contradicting_graph_rejected(tmp_path, dn, dm):
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    h = EdgeListHeader(n=g.n + dn, m=g.m + dm, seed=0, radius=8.0, alpha=1.0)
+    path = tmp_path / "bad.edges"
+    with pytest.raises(ValueError, match="contradicts"):
+        write_edgelist(g, path, header=h)
+    assert not path.exists()
+
+
+@given(
+    st.integers(0, 400),
+    st.one_of(st.integers(0, 2000), st.integers(0, 10**7)),
+    st.floats(0.0, 0.05),
+    st.sampled_from([1, 7, 64, graphio._WRITE_BLOCK]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_writers_match_line_by_line_oracles(
+    tmp_path_factory, n, offset, density, block, seed
+):
+    # ids spread over many digit counts, so blocks differ in width; sparse
+    # draws leave isolated vertices
+    rng = np.random.default_rng(seed)
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    size = n + offset
+    ids = np.sort(rng.choice(size, size=n, replace=False)) if n else np.zeros(0, int)
+    g = Graph.from_edge_arrays(size if n else 0, ids[u], ids[v])
+    header = EdgeListHeader(n=g.n, m=g.m, seed=seed, radius=12.5, alpha=0.75)
+    out = tmp_path_factory.mktemp("w")
+    with mock.patch.object(graphio, "_WRITE_BLOCK", block):
+        write_edgelist(g, out / "a", header)
+        if g.n <= 3000:
+            write_metis(g, out / "c")
+    write_edgelist_lines(g, out / "b", header)
+    assert (out / "a").read_bytes() == (out / "b").read_bytes()
+    if g.n <= 3000:
+        write_metis_lines(g, out / "d")
+        assert (out / "c").read_bytes() == (out / "d").read_bytes()
