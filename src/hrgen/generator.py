@@ -7,9 +7,11 @@ which yields a power-law degree distribution with exponent 2*alpha + 1.
 
 `generate` works in the Poincare disk: the hyperbolic neighborhood ball of
 each vertex is an ordinary Euclidean circle there, so the edge set comes out
-of circle range queries against a polar quadtree instead of all-pairs
-distance tests. `generate_brute_force` is the quadratic reference
-implementation used to validate it.
+of range queries against a polar quadtree instead of all-pairs distance
+tests. Each vertex asks only for the vertices after it in (radius, id)
+order, so every edge is found once. `generate_brute_force` is the quadratic
+reference implementation used to validate it. Both decide every pair with
+`geometry.within_distance`, on the same coordinates and weights.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .geometry import (
     TWO_PI,
     ModelParams,
     alpha_from_gamma,
-    circle_params,
+    disk_weight,
     radial_inverse_cdf,
     target_radius,
     to_poincare_radius,
+    within_distance,
 )
 from .graph import Graph
 from .quadtree import PolarQuadtree
@@ -40,10 +43,14 @@ from .quadtree import PolarQuadtree
 _EDGE_CHUNK = 16384
 
 # Expected points per leaf of the generator's tree, which sets the height of
-# its leaf grid: 512 gives the depth that splitting full leaves reached on
-# model input. The edge set is the same for every capacity; larger leaves
-# trade (circle, band) pairs for scan width.
-_LEAF_CAPACITY = 512
+# its leaf grid. The edge set is the same for every capacity. Fewer rows
+# leave more of the halving-mass core bands, which suit the outward query: a
+# vertex near the rim looks at the outer row alone. One run each of the edge
+# phase (k = 16, gamma = 3, 2-core box) at capacities 512 / 2048 / 8192 /
+# 32768 / 131072: n = 10^5 0.44 / 0.28 / 0.21 / 0.18 / 0.19 s, n = 3*10^5
+# 1.70 / 1.17 / 0.85 / 0.64 / 0.61 s, n = 10^6 10.5 / 7.1 / 4.8 / 4.1 /
+# 3.1 s. Up to n = 4 * 131072 the bands are the halving-mass sequence alone.
+_LEAF_CAPACITY = 131072
 
 # Entropy tag separating the long-range edge stream from the coordinate
 # stream when both derive from the same user seed.
@@ -167,12 +174,16 @@ def sample_points(n, alpha, radius, seed) -> VertexCoordinates:
     return VertexCoordinates(phi=phi, r_native=r_native, r_poincare=r_poincare)
 
 
-def _edge_block(tree, phi, center_r, radii, lo, hi):
-    """Edges (v, w) with v in [lo, hi), w > v, found by circle queries."""
-    qidx, ids = tree.query_many(phi[lo:hi], center_r[lo:hi], radii[lo:hi])
-    src = qidx + lo
-    keep = ids > src
-    return src[keep], ids[keep]
+def _edge_block(tree, coords, weight, radius, lo, hi):
+    """Edges (v, w) with v in [lo, hi) and w after v in (radius, id) order."""
+    qidx, ids = tree.query_many(
+        coords.phi[lo:hi],
+        coords.r_poincare[lo:hi],
+        weight[lo:hi],
+        np.arange(lo, hi),
+        radius,
+    )
+    return qidx + lo, ids
 
 
 def generate_with_stats(params: GeneratorParams):
@@ -184,22 +195,21 @@ def generate_with_stats(params: GeneratorParams):
     coords = sample_points(n, model.alpha, model.R, params.seed)
     t1 = time.perf_counter_ns()
 
+    weight = disk_weight(coords.r_native)
     tree = PolarQuadtree.build(
         coords.phi,
         coords.r_poincare,
         alpha=model.alpha,
         max_r=to_poincare_radius(model.R),
         capacity=_LEAF_CAPACITY,
+        b=weight,
     )
     t2 = time.perf_counter_ns()
 
-    center_r, radii = circle_params(coords.r_poincare, model.R)
-    center_r = np.atleast_1d(center_r)
-    radii = np.atleast_1d(radii)
     blocks = [(lo, min(lo + _EDGE_CHUNK, n)) for lo in range(0, n, _EDGE_CHUNK)]
 
     def run(block):
-        return _edge_block(tree, coords.phi, center_r, radii, *block)
+        return _edge_block(tree, coords, weight, model.R, *block)
 
     if params.threads == 1 or len(blocks) == 1:
         results = [run(b) for b in blocks]
@@ -237,25 +247,29 @@ def generate(params: GeneratorParams) -> Graph:
 
 
 def generate_brute_force(coords: VertexCoordinates, radius) -> Graph:
-    """Reference edge set: all-pairs hyperbolic distance tests, edge iff
-    strictly below `radius`. Quadratic; intended for validation."""
+    """Reference edge set: every pair tested with `within_distance`, edge
+    iff the hyperbolic distance is strictly below `radius`. Quadratic;
+    intended for validation."""
     if not radius > 0.0:
         raise ParameterDomainError("radius must be positive")
     n = len(coords)
     r = coords.r_poincare
     x = r * np.cos(coords.phi)
     y = r * np.sin(coords.phi)
-    b = (1.0 - r) * (1.0 + r)
+    b = disk_weight(coords.r_native)
     cols = np.arange(n, dtype=np.int64)
     us, vs = [], []
     block = max(1, min(n, 8_000_000 // max(n, 1)))
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        dx = x[lo:hi, None] - x[None, :]
-        dy = y[lo:hi, None] - y[None, :]
-        d2 = dx * dx + dy * dy
-        dist = 2.0 * np.arcsinh(np.sqrt(d2 / (b[lo:hi, None] * b[None, :])))
-        hit = (dist < radius) & (cols[None, :] > cols[lo:hi, None])
+        hit = within_distance(
+            x[lo:hi, None] - x[None, :],
+            y[lo:hi, None] - y[None, :],
+            b[lo:hi, None],
+            b[None, :],
+            radius,
+        )
+        hit &= cols[None, :] > cols[lo:hi, None]
         ui, vi = np.nonzero(hit)
         us.append(ui + lo)
         vs.append(cols[vi])

@@ -116,6 +116,30 @@ def to_native_radius(r_poincare):
     return out if np.ndim(r_poincare) else float(out)
 
 
+def disk_weight(r_native):
+    """1 - |p|^2 for the Poincare image p of a point at native radius r.
+
+    Evaluated as sech^2(r/2) from the native radius. The form 1 - tanh^2(r/2)
+    cancels near the rim, where the stored Poincare radius keeps only about
+    1e-16 / (1 - |p|) of relative accuracy in 1 - |p|^2. Accepts scalars or
+    arrays.
+    """
+    out = np.cosh(np.asarray(r_native, dtype=np.float64) / 2.0) ** -2.0
+    return out if np.ndim(r_native) else float(out)
+
+
+def within_distance(dx, dy, b_p, b_q, radius):
+    """The edge predicate: whether two points of the Poincare disk, (dx, dy)
+    apart and with weights b = 1 - |p|^2 (see `disk_weight`), lie at
+    hyperbolic distance strictly below `radius`.
+
+    d(p, q) < R iff |p - q|^2 < sinh^2(R/2) * b_p * b_q. Swapping p and q
+    negates dx and dy and swaps the weights, and neither changes a bit of
+    either side, so both endpoints of a pair get the same answer.
+    """
+    return dx * dx + dy * dy < math.sinh(radius / 2.0) ** 2 * (b_p * b_q)
+
+
 def poincare_distance(p: PoincarePoint, q: PoincarePoint) -> float:
     """Hyperbolic distance between two points of the unit disk.
 

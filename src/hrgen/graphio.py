@@ -9,7 +9,6 @@ writers build their digits in numpy and write the file in binary mode.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,12 @@ import numpy as np
 from .graph import Graph
 
 _WRITE_BLOCK = 262_144
+
+# Edge files are parsed in blocks of about this many bytes, cut at line ends.
+_READ_BLOCK = 1 << 18
+
+# Longest decimal id accepted; 18 digits cannot overflow int64.
+_MAX_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,57 @@ def write_edgelist(graph: Graph, path, header: EdgeListHeader | None = None):
         _write_ints(fh, edges.ravel(), seps)
 
 
+def _parse_pairs(buf):
+    """Integers of a block of whole edge lines, as a flat int64 array.
+
+    The inverse of `_write_ints`: the bytes between two separators are one
+    value, summed from its digits one decimal place per pass, from the last
+    digit of every value to its first. Raises ValueError for a byte other
+    than a digit, blank or line end, and for a non-blank line that does not
+    hold exactly two values.
+    """
+    text = np.frombuffer(buf, dtype=np.uint8)
+    sep = np.flatnonzero(text - ord("0") >= 10)
+    sep_byte = text[sep]
+    newline = sep_byte == ord("\n")
+    if not np.all(
+        newline | (sep_byte == ord(" ")) | (sep_byte == ord("\t")) | (sep_byte == ord("\r"))
+    ):
+        raise ValueError("edge lines may hold only decimal vertex ids")
+    bounds = np.concatenate(([-1], sep, [text.size]))
+    value_at = np.diff(bounds) > 1
+    starts = bounds[:-1][value_at] + 1
+    ends = bounds[1:][value_at]
+    # values pair up on one line each, and each pair has a line of its own
+    line = np.concatenate(([0], np.cumsum(newline)))[value_at]
+    if (
+        starts.size % 2
+        or np.any(line[0::2] != line[1::2])
+        or np.any(line[2::2] == line[1:-1:2])
+    ):
+        raise ValueError("every edge line must hold two vertex ids")
+    width = ends - starts
+    places = int(width.max(initial=0))
+    if places > _MAX_DIGITS:
+        raise ValueError(f"vertex id longer than {_MAX_DIGITS} digits")
+    values = np.zeros(starts.size, dtype=np.int64)
+    at = ends - 1
+    for place in range(places):
+        digit = text[at] - np.uint8(ord("0"))
+        digit[width <= place] = 0
+        values += digit * np.int64(10**place)
+        at -= 1
+    return values
+
+
 def read_edgelist(path):
     """Returns (graph, header-or-None). Files without a header get n from
     the largest vertex id. Every non-blank line after the header must hold
-    exactly two integers; any other line raises ValueError."""
+    exactly two decimal integers; any other line raises ValueError."""
     header = None
-    with open(path) as fh:
-        first = fh.readline()
+    values = []
+    with open(path, "rb") as fh:
+        first = fh.readline().decode("utf-8", errors="replace")
         if first.startswith("#"):
             parts = first[1:].split()
             if len(parts) != 5:
@@ -85,19 +134,20 @@ def read_edgelist(path):
             )
         else:
             fh.seek(0)
-        with warnings.catch_warnings():
-            # A file without edges is valid; loadtxt would warn about it.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
-                edges = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-    if edges.size == 0:
-        edges = edges.reshape(0, 2)
-    elif edges.shape[1] != 2:
-        raise ValueError(f"{path}: every edge line must hold two vertex ids")
-    n = header.n if header is not None else (int(edges.max()) + 1 if edges.size else 0)
-    graph = Graph.from_edge_arrays(n, edges[:, 0], edges[:, 1])
+        rest = b""
+        try:
+            while block := fh.read(_READ_BLOCK):
+                block = rest + block
+                cut = block.rfind(b"\n") + 1
+                rest = block[cut:]
+                values.append(_parse_pairs(block[:cut]))
+            # the last line may lack its newline
+            values.append(_parse_pairs(rest))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    values = np.concatenate(values)
+    n = header.n if header is not None else (int(values.max()) + 1 if values.size else 0)
+    graph = Graph.from_edge_arrays(n, values[0::2], values[1::2])
     if header is not None and graph.m != header.m:
         raise ValueError(
             f"{path}: header announces {header.m} edges, file holds {graph.m}"

@@ -13,17 +13,20 @@ block of 2^(h-d) rows times one sector of width 2pi / 2^d.
 
 Points are stored by radial band, sorted by angle within each band. The
 bands are the grid's rows, except that the innermost row, which spans the
-whole core of the disk, is split further into bands of halving mass. Equal
-mass makes rows narrow toward the rim but leaves the core row wide, and a
-hub deep in it lies inside nearly every circle at every angle.
+whole core of the disk, is split further into bands of halving mass: radii
+in geometric progression, as in von Looz et al.'s band generator. A coarse
+grid (few rows, many core bands) suits the query below.
 
-Range queries take a Euclidean circle and return the stored points strictly
-inside it. Each (circle, band) pair is looked at once: the band is dropped
-when its stored radii miss the circle's radial extent, and otherwise the
-angular window that can hold hits is cut out of the band's angle-sorted
-points by binary search. Every candidate then goes through the one per-point
-test, squared Euclidean distance below squared radius, so that single
-comparison decides every reported point.
+A query asks, for a point v, which stored points w come after v in
+(Poincare radius, id) order and lie within hyperbolic distance R of it.
+Queried from every stored point, that finds each edge once, from its
+endpoint nearer the origin, and only bands at or outside v's radius need a
+look. Each such band is dropped when its stored radii miss the Euclidean
+circle that holds v's hyperbolic ball, and otherwise the angular window
+that can hold hits is cut out of the band's angle-sorted points by binary
+search. The circle, the window and their pads only bound the candidates:
+one predicate, symmetric bit for bit in v and w (`within_distance`),
+decides every edge.
 """
 
 from __future__ import annotations
@@ -36,10 +39,11 @@ import numpy as np
 from .errors import OutOfBoundsError
 from .geometry import (
     TWO_PI,
-    EuclideanCircle,
+    circle_params,
     radial_inverse_cdf,
     to_native_radius,
     to_poincare_radius,
+    within_distance,
 )
 from .nputil import multi_arange
 
@@ -48,6 +52,11 @@ DEFAULT_LEAF_CAPACITY = 128
 # A band is dropped for a circle only when its stored radii miss the
 # circle's radial extent by more than this. Coordinates live in [-1, 1]; the
 # pad sits orders above their rounding, so rounding can only keep a band.
+# The circle takes the query's weight as 1 - r^2 of its Poincare radius,
+# which near the rim differs from the predicate's weight by up to 1e-16 /
+# (1 - r) relatively. At points no nearer the origin than the query, the
+# only ones it is asked about, that moves the circle's boundary by at most
+# about 1e-16 over the circle's radius; both pads cover it.
 _RADIAL_PAD = 1e-9
 
 # Angular candidate windows are widened by this much (radians) so that the
@@ -120,15 +129,19 @@ class PolarQuadtree:
     of them actually stores.
 
     Per-point arrays, each band's slice sorted by (angle, id): `p_phi`,
-    `p_r`, `p_id`, Cartesian `p_x`/`p_y`, and `p_key`, which is the point's
-    band times a fixed stride plus its angle and ascends over the whole
-    array.
+    `p_r`, `p_id`, Cartesian `p_x`/`p_y`, the weight `p_b` = 1 - `p_r`^2
+    that the edge predicate reads, and `p_key`, which is the point's band
+    times a fixed stride plus its angle and ascends over the whole array.
     """
 
     @classmethod
-    def build(cls, phi, r, ids=None, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY):
+    def build(
+        cls, phi, r, ids=None, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY, b=None
+    ):
         """Build the tree for coordinate arrays (phi, r), all points inside
-        [0, 2pi) x [0, max_r). `ids` defaults to 0..n-1.
+        [0, 2pi) x [0, max_r). `ids` defaults to 0..n-1, and the weights `b`
+        to 1 - r^2; points sampled by native radius pass `disk_weight` of it,
+        which keeps its digits at the rim.
 
         The height is the smallest h with n <= capacity * 4**h, so `capacity`
         bounds the expected number of points per leaf on model input, not the
@@ -153,6 +166,12 @@ class PolarQuadtree:
             ids = np.ascontiguousarray(ids, dtype=np.int64)
             if ids.shape != phi.shape:
                 raise ValueError("ids must match the coordinate arrays")
+        if b is None:
+            b = (1.0 - r) * (1.0 + r)
+        else:
+            b = np.ascontiguousarray(b, dtype=np.float64)
+            if b.shape != phi.shape:
+                raise ValueError("b must match the coordinate arrays")
         if phi.size and not (
             phi.min() >= 0.0
             and phi.max() < TWO_PI
@@ -188,6 +207,7 @@ class PolarQuadtree:
         tree.p_id = ids[order]
         tree.p_x = tree.p_r * np.cos(tree.p_phi)
         tree.p_y = tree.p_r * np.sin(tree.p_phi)
+        tree.p_b = b[order]
         tree.p_key = band * _BAND_STRIDE + tree.p_phi
 
         # Actual point radius range per occupied band. Much tighter than the
@@ -205,47 +225,55 @@ class PolarQuadtree:
 
     # -- queries -----------------------------------------------------------
 
-    def query_many(self, center_phi, center_r, radii):
-        """Stored point ids strictly inside each query circle.
+    def query_many(self, phi, r, b, ids, radius):
+        """Each query point's neighbours among the stored points after it.
 
-        Circles are given in polar form (center angle, center Poincare radius,
-        Euclidean radius). Returns (query_index, point_id) pair arrays; the
-        pairs are not sorted. Each (circle, band) pair is looked at once: the
-        band is dropped when its stored radii miss the circle's radial
-        extent, and otherwise every point in the circle's angular window over
-        the band is tested against it. Only that test decides which points are
-        reported.
+        Query point v = (phi[i], r[i], b[i], ids[i]) has Poincare polar
+        coordinates (phi, r), weight b = 1 - r^2 and an id. Returns
+        (query_index, point_id) pair arrays, not sorted, of the stored points
+        w that come after v in (Poincare radius, id) order and that
+        `within_distance` puts at hyperbolic distance below `radius` from v.
+        Queried from all of its own points, the tree so reports every edge
+        once, from its endpoint that comes first.
+
+        Bands whose stored radii all lie below v's are skipped, and so are
+        bands whose radii miss the circle that holds v's ball. In every other
+        band the points of the circle's angular window are candidates, and
+        the predicate alone decides which of them are reported.
         """
-        c_phi = np.atleast_1d(np.asarray(center_phi, dtype=np.float64))
-        c_r = np.atleast_1d(np.asarray(center_r, dtype=np.float64))
-        radii = np.broadcast_to(
-            np.asarray(radii, dtype=np.float64), c_phi.shape
-        ).copy()
-        if c_phi.shape != c_r.shape or c_phi.ndim != 1:
+        q_phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
+        q_r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+        q_b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+        q_id = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        if q_phi.ndim != 1 or not q_phi.shape == q_r.shape == q_b.shape == q_id.shape:
             raise ValueError("query arrays must be 1-d and of equal length")
-        c_x = c_r * np.cos(c_phi)
-        c_y = c_r * np.sin(c_phi)
-        rad_sq = radii * radii
+        c_r, rad = circle_params(q_r, radius)
+        rad_sq = rad * rad
+        # The query points' coordinates, computed as the stored points' are,
+        # so that the predicate sees the same bits from either end.
+        q_x = q_r * np.cos(q_phi)
+        q_y = q_r * np.sin(q_phi)
 
-        # Keep the (circle, band) pairs whose radial extents [c - rad, c + rad]
-        # and [band_rmin, band_rmax] meet. Pairs run band by band, and within
-        # a band by center angle, so that consecutive windows search and scan
+        # Keep the (query, band) pairs whose band reaches out to v's radius
+        # and in to the circle's outer edge. Pairs run band by band, and
+        # within a band by angle, so that consecutive windows search and scan
         # nearby keys.
-        phase = np.mod(c_phi, TWO_PI)
+        phase = np.mod(q_phi, TWO_PI)
         by_angle = np.argsort(phase)
-        inner = (c_r - radii - _RADIAL_PAD)[by_angle]
-        outer = (c_r + radii + _RADIAL_PAD)[by_angle]
-        near = (self.band_rmax[:, None] >= inner) & (self.band_rmin[:, None] <= outer)
+        outer = (c_r + rad + _RADIAL_PAD)[by_angle]
+        near = (self.band_rmax[:, None] >= q_r[by_angle]) & (
+            self.band_rmin[:, None] <= outer
+        )
         k, lq = np.nonzero(near)
         lq = by_angle[lq]
 
         # A stored point at origin distance p and angular offset d from the
         # circle center lies inside iff
         #   cos d > (p^2 + c^2 - rad^2) / (2 p c).
-        # Minimizing the right side over the band's point radius range [r1,r2]
-        # (endpoints plus the stationary point sqrt(c^2-rad^2)) bounds the
-        # offset of any candidate.
-        r1 = self.band_rmin[k]
+        # Minimizing the right side over the radii [r1, r2] a candidate can
+        # have (endpoints plus the stationary point sqrt(c^2-rad^2)) bounds
+        # the offset of any candidate. No candidate lies below v's radius.
+        r1 = np.maximum(self.band_rmin[k], q_r[lq])
         r2 = self.band_rmax[k]
         c = c_r[lq]
         diff = c * c - rad_sq[lq]
@@ -288,9 +316,15 @@ class PolarQuadtree:
             ):
                 pidx = multi_arange(ls, le)
                 prep = np.repeat(lqb, le - ls)
-                dx = self.p_x[pidx] - c_x[prep]
-                dy = self.p_y[pidx] - c_y[prep]
-                hit = dx * dx + dy * dy < rad_sq[prep]
+                p_r, v_r = self.p_r[pidx], q_r[prep]
+                after = (p_r > v_r) | ((p_r == v_r) & (self.p_id[pidx] > q_id[prep]))
+                hit = after & within_distance(
+                    self.p_x[pidx] - q_x[prep],
+                    self.p_y[pidx] - q_y[prep],
+                    self.p_b[pidx],
+                    q_b[prep],
+                    radius,
+                )
                 out_p.append(pidx[hit])
                 out_q.append(prep[hit])
 
@@ -301,13 +335,6 @@ class PolarQuadtree:
             qidx = np.empty(0, dtype=np.int64)
             ids = np.empty(0, dtype=np.int64)
         return qidx, ids
-
-    def query_circle(self, circle: EuclideanCircle):
-        """Ids of stored points strictly inside the circle, ascending."""
-        _, ids = self.query_many(
-            [circle.center.phi], [circle.center.r], [circle.radius]
-        )
-        return np.sort(ids)
 
     # -- introspection ------------------------------------------------------
 

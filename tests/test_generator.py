@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hrgen import (
     InfeasibleParametersError,
     ParameterDomainError,
     PolarQuadtree,
+    VertexCoordinates,
     add_long_range_edges,
     generate,
     generate_brute_force,
@@ -20,7 +22,8 @@ from hrgen import (
     sample_points,
     to_poincare_radius,
 )
-from hrgen.geometry import TWO_PI, circle_params
+from hrgen import generator
+from hrgen.geometry import TWO_PI, disk_weight, within_distance
 
 from helpers import gnp_graph, long_range_scalar
 
@@ -166,22 +169,33 @@ def test_thread_count_does_not_change_output():
 
 
 def test_leaf_capacity_does_not_change_output():
-    model = GeneratorParams(n=8000, avg_degree=10.0, gamma=3.0).resolve()
+    n = 8000
+    model = GeneratorParams(n=n, avg_degree=10.0, gamma=3.0).resolve()
     coords = sample_points(model.n, model.alpha, model.R, 6)
-    center_r, radii = circle_params(coords.r_poincare, model.R)
+    weight = disk_weight(coords.r_native)
     pair_sets = []
-    for capacity in (32, 2048):
+    for capacity in (32, 2048, generator._LEAF_CAPACITY):
         tree = PolarQuadtree.build(
             coords.phi,
             coords.r_poincare,
             alpha=model.alpha,
             max_r=to_poincare_radius(model.R),
             capacity=capacity,
+            b=weight,
         )
-        qidx, ids = tree.query_many(coords.phi, center_r, radii)
-        pair_sets.append(np.unique(qidx * model.n + ids))
-    assert pair_sets[0].size > model.n
-    assert np.array_equal(*pair_sets)
+        qidx, ids = tree.query_many(
+            coords.phi, coords.r_poincare, weight, np.arange(n), model.R
+        )
+        pair_sets.append(np.sort(qidx * n + ids))
+    # the chosen capacity makes a height-0 grid, one row of halving-mass bands
+    assert tree.height() == 0
+    # each edge is found once, from the endpoint nearer the origin
+    assert np.unique(pair_sets[0]).size == pair_sets[0].size > n
+    src, dst = np.divmod(pair_sets[0], n)
+    r = coords.r_poincare
+    assert np.all((r[src] < r[dst]) | ((r[src] == r[dst]) & (src < dst)))
+    assert np.array_equal(pair_sets[0], pair_sets[1])
+    assert np.array_equal(pair_sets[0], pair_sets[2])
 
 
 def test_realized_degree_tracks_target():
@@ -278,3 +292,145 @@ def test_generation_with_shortcuts_builds_the_csr_once(monkeypatch):
     graph, _ = generate_with_stats(params)
     assert calls == [3000]
     assert graph.m > 0
+
+
+# -- the edge predicate at the edges of the domain ------------------------------
+
+
+def coords_from_native(phi, r_native, radius):
+    """Vertex coordinates at the given native radii, kept inside the disk as
+    `sample_points` keeps its samples."""
+    r_native = np.minimum(np.asarray(r_native, dtype=np.float64), np.nextafter(radius, 0.0))
+    r_poincare = np.minimum(
+        to_poincare_radius(r_native), np.nextafter(to_poincare_radius(radius), 0.0)
+    )
+    return VertexCoordinates(
+        phi=np.mod(np.asarray(phi, dtype=np.float64), TWO_PI),
+        r_native=r_native,
+        r_poincare=r_poincare,
+    )
+
+
+def generate_from(coords, radius, threads=1):
+    """The generator's graph on given coordinates."""
+    params = GeneratorParams(n=len(coords), radius=radius, alpha=1.0, threads=threads)
+    with mock.patch.object(generator, "sample_points", lambda *args: coords):
+        return generate(params)
+
+
+def assert_matches_brute_force(coords, radius):
+    graph = generate_from(coords, radius)
+    brute = generate_brute_force(coords, radius)
+    assert np.array_equal(graph.indptr, brute.indptr)
+    assert np.array_equal(graph.indices, brute.indices)
+    return graph
+
+
+def tie_pairs(count, radius, eps, seed):
+    """`count` vertex pairs (2i, 2i + 1) at hyperbolic distance radius * (1 +-
+    eps), the sign drawn per pair: radii from the radial law with alpha = 1,
+    angle gaps from the hyperbolic law of cosines."""
+    rng = np.random.default_rng(seed)
+    dist = radius * (1.0 + eps * rng.choice([-1.0, 1.0], size=4 * count))
+    r1 = radial_inverse_cdf(rng.random(4 * count), 1.0, radius)
+    r2 = radial_inverse_cdf(rng.random(4 * count), 1.0, radius)
+    # a pair at distance D needs |r1 - r2| < D < r1 + r2
+    ok = (r1 + r2 > dist) & (np.abs(r1 - r2) < dist)
+    dist, r1, r2 = dist[ok][:count], r1[ok][:count], r2[ok][:count]
+    assert dist.size == count
+    # cosh D - cosh(r1 - r2) = 2 sinh r1 sinh r2 sin^2(gap / 2)
+    half = np.sinh((dist + r1 - r2) / 2.0) * np.sinh((dist - r1 + r2) / 2.0)
+    gap = 2.0 * np.arcsin(np.sqrt(half / (np.sinh(r1) * np.sinh(r2))))
+    phi1 = rng.random(count) * TWO_PI
+    phi2 = phi1 + rng.choice([-1.0, 1.0], size=count) * gap
+    phi = np.column_stack((phi1, phi2)).ravel()
+    return coords_from_native(phi, np.column_stack((r1, r2)).ravel(), radius)
+
+
+def test_ties_are_decided_once_and_by_one_predicate():
+    # 3,000 pairs at distance R(1 +- 1e-12); before the predicate was
+    # symmetric, 1,134 of them depended on which endpoint asked, and on 755
+    # the generator and the brute-force reference disagreed
+    radius, count = 20.0, 3000
+    coords = tie_pairs(count, radius, 1e-12, 0)
+    graph = assert_matches_brute_force(coords, radius)
+    # the predicate, on the tree's stored arrays, is the same from both ends
+    tree = PolarQuadtree.build(
+        coords.phi,
+        coords.r_poincare,
+        alpha=1.0,
+        max_r=to_poincare_radius(radius),
+        b=disk_weight(coords.r_native),
+    )
+    at = np.argsort(tree.p_id)
+    v, w = at[0::2], at[1::2]
+    x, y, b = tree.p_x, tree.p_y, tree.p_b
+    from_v = within_distance(x[w] - x[v], y[w] - y[v], b[w], b[v], radius)
+    from_w = within_distance(x[v] - x[w], y[v] - y[w], b[v], b[w], radius)
+    assert np.array_equal(from_v, from_w)
+    pairs = np.arange(0, 2 * count, 2)
+    assert np.array_equal(
+        [graph.has_edge(u, u + 1) for u in pairs.tolist()], from_v
+    )
+    # the ties fall on both sides
+    assert 0 < from_v.sum() < count
+
+
+@given(
+    st.integers(2, 120),
+    st.floats(4.0, 30.0),
+    st.integers(0, 13),
+    st.floats(-1.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+# 60 points within 1e-13 of the rim: all share one stored Poincare radius,
+# and 1,332 of their 1,770 pairs are edges
+@example(n=60, radius=30.0, depth=13, spread=0.0, seed=1)
+def test_rim_points_match_brute_force(n, radius, depth, spread, seed):
+    # near the rim, 1 - |p|^2 from the stored Poincare radius keeps few
+    # digits; the weights come from the native radii instead
+    rng = np.random.default_rng(seed)
+    r = radius - 10.0**-depth * rng.random(n)
+    # rim points at radius R are adjacent within an angle of about 4 e^(-R/2)
+    phi = 1.0 + rng.random(n) * 4.0 * math.exp(-radius / 2.0) * 10.0**spread
+    assert_matches_brute_force(coords_from_native(phi, r, radius), radius)
+
+
+@given(
+    st.integers(2, 150),
+    st.floats(2.0, 25.0),
+    st.floats(1e-9, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+# 100 points within 0.01 of the seam: 1,417 of the 2,464 pairs across it
+# are edges
+@example(n=100, radius=12.0, width=0.01, seed=0)
+def test_pairs_across_the_seam_match_brute_force(n, radius, width, seed):
+    # angles within `width` of 0 on both sides, so many pairs straddle 2pi
+    rng = np.random.default_rng(seed)
+    phi = rng.uniform(-width, width, n)
+    r = radial_inverse_cdf(rng.random(n), 1.0, radius)
+    assert_matches_brute_force(coords_from_native(phi, r, radius), radius)
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(2, 6),
+    st.floats(2.0, 25.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_duplicate_points_give_each_pair_once(distinct, copies, radius, seed):
+    # points at distance 0 are adjacent; the CSR build rejects any pair
+    # found twice, so each pair must come from one query only
+    rng = np.random.default_rng(seed)
+    phi = np.repeat(rng.random(distinct) * TWO_PI, copies)
+    r = np.repeat(radial_inverse_cdf(rng.random(distinct), 1.0, radius), copies)
+    order = rng.permutation(phi.size)
+    graph = assert_matches_brute_force(coords_from_native(phi[order], r[order], radius), radius)
+    group = order // copies
+    for v in range(phi.size):
+        twins = np.flatnonzero(group == group[v])
+        assert np.isin(twins[twins != v], graph.neighbors(v)).all()

@@ -88,6 +88,10 @@ def test_malformed_header_rejected(tmp_path):
         "0 1 2 3\n",
         "0\n1\n",
         "0 1\n2 x\n",
+        "0 1\n-1 2\n",
+        "0 1\n# note\n",
+        "0 1\n2 3.0\n",
+        "0 1234567890123456789\n",
     ],
 )
 def test_misshapen_edge_lines_rejected(tmp_path, body):
@@ -96,6 +100,14 @@ def test_misshapen_edge_lines_rejected(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ValueError):
         read_edgelist(path)
+
+
+def test_blank_space_and_line_ends_accepted(tmp_path):
+    path = tmp_path / "loose.edges"
+    path.write_bytes(b"# 6 3 0 1.0 1.0\n 0 1\r\n\n2\t 3  \n\n4 5")
+    g, h = read_edgelist(path)
+    assert h.m == 3
+    assert g.edge_array().tolist() == [[0, 1], [2, 3], [4, 5]]
 
 
 def test_generated_graph_roundtrip(tmp_path):
@@ -154,6 +166,12 @@ def test_writers_match_line_by_line_oracles(
             write_metis(g, out / "c")
     write_edgelist_lines(g, out / "b", header)
     assert (out / "a").read_bytes() == (out / "b").read_bytes()
+    # the reader inverts the writer, wherever its blocks cut the file
+    with mock.patch.object(graphio, "_READ_BLOCK", block):
+        back, h_back = read_edgelist(out / "a")
+    assert h_back == header
+    assert np.array_equal(back.indptr, g.indptr)
+    assert np.array_equal(back.indices, g.indices)
     if g.n <= 3000:
         write_metis_lines(g, out / "d")
         assert (out / "c").read_bytes() == (out / "d").read_bytes()

@@ -6,21 +6,57 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrgen import (
-    EuclideanCircle,
     OutOfBoundsError,
-    PoincarePoint,
+    ParameterDomainError,
     PolarQuadtree,
 )
-from hrgen.geometry import TWO_PI
+from hrgen.geometry import TWO_PI, within_distance
 from hrgen.quadtree import band_boundaries
 
 
-def brute_circle_ids(phi, r, circle):
-    cx = circle.center.r * math.cos(circle.center.phi)
-    cy = circle.center.r * math.sin(circle.center.phi)
-    dx = r * np.cos(phi) - cx
-    dy = r * np.sin(phi) - cy
-    return np.flatnonzero(dx * dx + dy * dy < circle.radius**2)
+def weight(r):
+    return (1.0 - r) * (1.0 + r)
+
+
+def query(tree, phi, r, qid, radius):
+    """Ids the tree reports for one query point, ascending."""
+    _, ids = tree.query_many([phi], [r], [weight(r)], [qid], radius)
+    return np.sort(ids)
+
+
+def brute_after_ids(phi, r, q_phi, q_r, qid, radius):
+    """Points after the query point in (radius, id) order that the predicate
+    accepts, by a linear scan."""
+    ids = np.arange(phi.size)
+    after = (r > q_r) | ((r == q_r) & (ids > qid))
+    close = within_distance(
+        r * np.cos(phi) - q_r * np.cos(q_phi),
+        r * np.sin(phi) - q_r * np.sin(q_phi),
+        weight(r),
+        weight(q_r),
+        radius,
+    )
+    return np.flatnonzero(after & close)
+
+
+def brute_pairs(phi, r, radius):
+    """Sorted keys v * n + w of every pair v, w with w after v in (radius,
+    id) order that the predicate accepts."""
+    n = phi.size
+    v, w = np.nonzero(np.ones((n, n), dtype=bool))
+    after = (r[w] > r[v]) | ((r[w] == r[v]) & (w > v))
+    x, y = r * np.cos(phi), r * np.sin(phi)
+    close = within_distance(x[w] - x[v], y[w] - y[v], weight(r[w]), weight(r[v]), radius)
+    keep = after & close
+    return np.sort(v[keep] * n + w[keep])
+
+
+def tree_pairs(tree, phi, r, radius):
+    """Sorted keys v * n + w of the pairs the tree reports when it is
+    queried from each of its points."""
+    n = phi.size
+    qidx, ids = tree.query_many(phi, r, weight(r), np.arange(n), radius)
+    return np.sort(qidx * n + ids)
 
 
 def random_points(rng, n, max_r=0.98):
@@ -167,8 +203,12 @@ def test_duplicate_points_share_one_cell():
     [leaf] = [lf for lf in tree.leaves() if lf.size]
     assert leaf.size == 40
     assert np.array_equal(tree.leaf_point_ids(leaf), np.arange(40))
-    got = tree.query_circle(EuclideanCircle(PoincarePoint(1.0, 0.5), 1e-6))
-    assert np.array_equal(got, np.arange(40))
+    # a point at the same place that comes first sees all 40
+    assert np.array_equal(query(tree, 1.0, 0.5, -1, 1e-6), np.arange(40))
+    # queried from its own points, the tree reports each pair once
+    got = tree_pairs(tree, np.full(40, 1.0), np.full(40, 0.5), 1e-6)
+    v, w = np.divmod(got, 40)
+    assert got.size == 40 * 39 // 2 and np.all(v < w)
 
 
 # -- queries -----------------------------------------------------------------
@@ -180,68 +220,73 @@ def test_duplicate_points_share_one_cell():
     st.integers(0, 2**32 - 1),
     st.floats(0.0, TWO_PI, exclude_max=True),
     st.floats(0.0, 0.95),
-    st.floats(1e-4, 2.2),
+    st.floats(1e-3, 12.0),
 )
 @settings(max_examples=60, deadline=None)
-# a hub-like circle on a many-row grid: centre near the origin, every point inside
-@example(n=300, capacity=1, seed=3, c_phi=2.0, c_r=0.01, rad=1.0)
-# a subnormal centre radius, where the window's quotient would overflow
-@example(n=0, capacity=1, seed=0, c_phi=0.0, c_r=2.225073858507e-311, rad=1.0)
-@example(n=300, capacity=1, seed=0, c_phi=0.0, c_r=2.225073858507e-311, rad=0.3)
-# small circles straddling phi = 0 from each side, with hits on both sides
-@example(n=300, capacity=1, seed=0, c_phi=0.02, c_r=0.8, rad=0.15)
-@example(n=300, capacity=1, seed=0, c_phi=TWO_PI - 0.02, c_r=0.8, rad=0.15)
-def test_query_equals_linear_scan(n, capacity, seed, c_phi, c_r, rad):
+# a hub-like query on a many-row grid: near the origin, every point inside
+@example(n=300, capacity=1, seed=3, q_phi=2.0, q_r=0.01, radius=5.0)
+# a subnormal query radius, where the window's quotient would overflow
+@example(n=0, capacity=1, seed=0, q_phi=0.0, q_r=2.225073858507e-311, radius=1.0)
+@example(n=300, capacity=1, seed=0, q_phi=0.0, q_r=2.225073858507e-311, radius=0.6)
+# small balls straddling phi = 0 from each side, with hits on both sides
+@example(n=300, capacity=1, seed=0, q_phi=0.02, q_r=0.8, radius=1.2)
+@example(n=300, capacity=1, seed=0, q_phi=TWO_PI - 0.02, q_r=0.8, radius=1.2)
+def test_query_equals_linear_scan(n, capacity, seed, q_phi, q_r, radius):
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
     tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
-    circle = EuclideanCircle(PoincarePoint(c_phi, c_r), rad)
-    got = tree.query_circle(circle)
-    want = brute_circle_ids(phi, r, circle)
-    assert np.array_equal(got, want)
+    got = query(tree, q_phi, q_r, n // 2, radius)
+    assert np.array_equal(got, brute_after_ids(phi, r, q_phi, q_r, n // 2, radius))
+    # the same tree queried from its own points finds each pair once
+    assert np.array_equal(tree_pairs(tree, phi, r, radius), brute_pairs(phi, r, radius))
 
 
 def test_query_on_boundary_is_excluded():
-    # point exactly on the circle boundary: strict predicate keeps it out
-    tree = PolarQuadtree.build(
-        np.array([0.0]), np.array([0.5]), alpha=1.0, max_r=0.9
-    )
-    on_rim = EuclideanCircle(PoincarePoint(0.0, 0.25), 0.25)
-    assert tree.query_circle(on_rim).size == 0
-    just_over = EuclideanCircle(PoincarePoint(0.0, 0.25), 0.2500001)
-    assert tree.query_circle(just_over).size == 1
+    # the largest radius at which the predicate rejects a point 0.5 from the
+    # origin, and the next float above it, at which it accepts the point
+    rim, inside = 1.0986122886681096, 1.0986122886681098
+    assert not within_distance(0.5, 0.0, weight(0.5), 1.0, rim)
+    assert within_distance(0.5, 0.0, weight(0.5), 1.0, inside)
+    tree = PolarQuadtree.build(np.array([0.0]), np.array([0.5]), alpha=1.0, max_r=0.9)
+    assert query(tree, 0.0, 0.0, 1, rim).size == 0
+    assert np.array_equal(query(tree, 0.0, 0.0, 1, inside), [0])
 
 
 def test_query_many_matches_single_queries():
     rng = np.random.default_rng(11)
     phi, r = random_points(rng, 800)
     tree = PolarQuadtree.build(phi, r, alpha=1.2, max_r=0.98, capacity=32)
-    c_phi = rng.random(50) * TWO_PI
-    c_r = rng.random(50) * 0.9
-    radii = 10 ** rng.uniform(-2, 0, 50)
-    qidx, ids = tree.query_many(c_phi, c_r, radii)
+    q_phi = rng.random(50) * TWO_PI
+    q_r = rng.random(50) * 0.9
+    radii = rng.uniform(0.1, 8.0, 50)
     for i in range(50):
-        circle = EuclideanCircle(PoincarePoint(c_phi[i], c_r[i]), radii[i])
-        assert np.array_equal(np.sort(ids[qidx == i]), tree.query_circle(circle))
+        qidx, ids = tree.query_many(q_phi, q_r, weight(q_r), np.arange(50), radii[i])
+        got = np.sort(ids[qidx == i])
+        assert np.array_equal(got, query(tree, q_phi[i], q_r[i], i, radii[i]))
+        assert np.array_equal(got, brute_after_ids(phi, r, q_phi[i], q_r[i], i, radii[i]))
 
 
 def test_query_many_shape_validation():
     tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
     with pytest.raises(ValueError):
-        tree.query_many(np.zeros((2, 2)), np.zeros((2, 2)), 0.1)
+        tree.query_many(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), [0, 1], 0.1)
+    with pytest.raises(ValueError):
+        tree.query_many([0.0, 1.0], [0.1, 0.2], [1.0, 1.0], [0], 0.1)
 
 
 def test_query_empty_tree_and_zero_radius():
     tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
     assert len(tree) == 0 and tree.height() == 0
-    assert tree.query_circle(EuclideanCircle(PoincarePoint(0, 0), 5.0)).size == 0
+    assert query(tree, 0.0, 0.0, 0, 5.0).size == 0
     tree = PolarQuadtree.build(
         np.array([0.3]), np.array([0.3]), np.array([7]), alpha=1.0, max_r=0.9
     )
-    assert tree.query_circle(EuclideanCircle(PoincarePoint(0.3, 0.3), 0.0)).size == 0
-    assert np.array_equal(
-        tree.query_circle(EuclideanCircle(PoincarePoint(0.3, 0.3), 0.1)), [7]
-    )
+    with pytest.raises(ParameterDomainError):
+        query(tree, 0.3, 0.3, 0, 0.0)
+    assert np.array_equal(query(tree, 0.3, 0.3, 0, 0.1), [7])
+    # a point does not see itself, nor anything before it
+    assert query(tree, 0.3, 0.3, 7, 0.1).size == 0
+    assert query(tree, 0.3, 0.31, 0, 0.1).size == 0
 
 
 # -- introspection -----------------------------------------------------------
