@@ -1,10 +1,9 @@
 """Structural measures of undirected simple graphs.
 
-Everything operates on the CSR arrays of `Graph` directly; the heavier
-routines (triangles, BFS, core peeling) are vectorized and comfortable at a
-few million edges. Diameter is reported as a [lower, upper] interval from
-eccentricity sweeps unless the component is small enough for the exact
-all-pairs computation.
+The routines are vectorized over the CSR view of `Graph`. scipy is imported
+only where it is called, so generation alone never loads it. Diameter is a
+[lower, upper] interval from eccentricity sweeps unless the component is
+small enough for the exact all-pairs computation.
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components as _scipy_components
 
 from .errors import InsufficientDataError
 from .graph import Graph
@@ -65,17 +62,6 @@ class AnalysisReport:
         return [f.name for f in fields(AnalysisReport)]
 
 
-def _adjacency_matrix(graph: Graph):
-    return sparse.csr_matrix(
-        (
-            np.ones(graph.indices.size, dtype=np.float64),
-            graph.indices,
-            graph.indptr,
-        ),
-        shape=(graph.n, graph.n),
-    )
-
-
 def _vertex_triangles(graph: Graph):
     """Triangles through each vertex, as a float array.
 
@@ -86,6 +72,7 @@ def _vertex_triangles(graph: Graph):
     at (a, c), which credits a and c, and B.T @ B masked by B finds it at
     (b, c), which credits b.
     """
+    from scipy import sparse
     n = graph.n
     tri = np.zeros(n)
     if graph.m == 0:
@@ -166,9 +153,13 @@ def degree_assortativity(graph: Graph) -> float | None:
 
 def component_labels(graph: Graph):
     """(labels, sizes): per-vertex component label and per-label size."""
-    if graph.n == 0:
+    from scipy.sparse import csgraph, csr_matrix
+    n = graph.n
+    if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    count, labels = _scipy_components(_adjacency_matrix(graph), directed=False)
+    # one entry per edge, at (u, v) with u < v; the search follows both ways
+    upper = csr_matrix((np.ones(graph.m), np.divmod(graph.keys, n)), shape=(n, n))
+    count, labels = csgraph.connected_components(upper, directed=False)
     return labels.astype(np.int64), np.bincount(labels, minlength=count).astype(np.int64)
 
 

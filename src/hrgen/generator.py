@@ -101,12 +101,16 @@ class GeneratorParams:
 
     def resolve(self) -> ModelParams:
         """Fill in the derived model parameters (alpha from gamma, disk
-        radius from the average-degree target)."""
+        radius from the average-degree target). Raises ParameterDomainError
+        from R = 37.98 on, where tanh(R/2) rounds to 1 and the rim is lost."""
         alpha = self.alpha if self.alpha is not None else alpha_from_gamma(self.gamma)
-        if self.radius is not None:
-            radius = self.radius
-        else:
+        radius = self.radius
+        if radius is None:
             radius = target_radius(self.n, self.avg_degree, alpha)
+        if not to_poincare_radius(radius) < 1.0:
+            raise ParameterDomainError(
+                f"disk radius {radius:.10g} is too large: tanh(R/2) rounds to 1"
+            )
         return ModelParams(
             n=self.n, alpha=alpha, R=radius, target_avg_degree=self.avg_degree
         )
@@ -284,9 +288,9 @@ def add_long_range_edges(graph: Graph, fraction, seed) -> Graph:
     The new edges are the first k pairs of a stream, independent of the
     coordinate stream for the same seed, that are no self-loop, edge or
     repeat. Batched draws leave that stream unchanged, as the bit generator
-    buffers the spare half of each 64-bit output. The edges are merged into
-    the sorted CSR arrays. Raises InfeasibleParametersError when the graph
-    lacks room.
+    buffers the spare half of each 64-bit output. The new keys are merged
+    into the graph's sorted keys. Raises InfeasibleParametersError when the
+    graph lacks room.
     """
     if not 0.0 <= fraction < 1.0:
         raise ParameterDomainError("fraction must be in [0, 1)")
@@ -300,8 +304,7 @@ def add_long_range_edges(graph: Graph, fraction, seed) -> Graph:
             f"cannot add {k} edges, only {absent} vertex pairs are free"
         )
     rng = np.random.default_rng([seed, _LONG_RANGE_STREAM])
-    # Row-major keys of the graph's entries, in CSR order; k > 0 implies m > 0.
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, graph.degrees()) + graph.indices
+    keys = graph.keys  # k > 0 implies m > 0
     found = np.empty(0, dtype=np.int64)  # new keys, in stream order
     while found.size < k:
         # Expected draws per new edge are n^2 / (2 absent), a bit more as repeats
@@ -314,9 +317,5 @@ def add_long_range_edges(graph: Graph, fraction, seed) -> Graph:
         uniq, first = np.unique(stream, return_index=True)
         at = np.minimum(np.searchsorted(keys, uniq), keys.size - 1)
         found = stream[np.sort(first[keys[at] != uniq])][:k]
-    lo, hi = np.divmod(found, n)
-    new = np.sort(np.concatenate((found, hi * n + lo)))
-    # Row v moves right by the number of new entries in rows before it.
-    indptr = graph.indptr + np.searchsorted(new, np.arange(n + 1) * n)
-    indices = np.insert(graph.indices, np.searchsorted(keys, new), new % n)
-    return Graph(indptr=indptr, indices=indices)
+    new = np.sort(found)
+    return Graph(n=n, keys=np.insert(keys, np.searchsorted(keys, new), new))

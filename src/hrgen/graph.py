@@ -1,15 +1,16 @@
 """Compact undirected simple graph.
 
-Adjacency is stored CSR-style: `indices[indptr[v]:indptr[v+1]]` is the sorted
-neighbor list of v. Construction rejects self-loops and parallel edges, so
-every instance is simple and structurally symmetric by construction. The
-entries, read in order, follow the row-major keys v*n + w in ascending
-order: construction sorts those int64 keys once.
+The stored form is one array, `keys`: u*n + v for each edge u < v, strictly
+ascending, so it lists the edges in lexicographic order and holds no repeat.
+Construction rejects self-loops and parallel edges. The CSR view, in which
+`indices[indptr[v]:indptr[v+1]]` is the sorted neighbor list of v, is derived
+from the keys on first use and then kept; writing an edge list never needs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,16 +19,26 @@ MAX_N = 3_037_000_499  # largest n whose keys, up to n*n - 1, fit in int64
 
 @dataclass(frozen=True)
 class Graph:
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def n(self):
-        return self.indptr.size - 1
+    n: int
+    keys: np.ndarray
 
     @property
     def m(self):
-        return self.indices.size // 2
+        return self.keys.size
+
+    @cached_property
+    def indptr(self):
+        """CSR row starts, from the degree of each vertex."""
+        ends = np.concatenate(np.divmod(self.keys, max(self.n, 1)))
+        return np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n))))
+
+    @cached_property
+    def indices(self):
+        """CSR neighbor lists: the keys of both orientations, sorted once."""
+        lo, hi = np.divmod(self.keys, max(self.n, 1))
+        both = np.concatenate((self.keys, hi * self.n + lo))
+        both.sort()
+        return np.remainder(both, max(self.n, 1), out=both)
 
     def degrees(self):
         return np.diff(self.indptr)
@@ -36,22 +47,20 @@ class Graph:
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def has_edge(self, u, v):
-        nbr = self.neighbors(u)
-        i = np.searchsorted(nbr, v)
-        return i < nbr.size and nbr[i] == v
+        lo, hi = min(u, v), max(u, v)
+        key = lo * self.n + hi if 0 <= lo < hi < self.n else -1
+        i = np.searchsorted(self.keys, key)
+        return i < self.m and self.keys[i] == key
 
     def edge_array(self):
         """All edges as an (m, 2) array with u < v, sorted lexicographically."""
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        fwd = self.indices > rows
-        return np.column_stack((rows[fwd], self.indices[fwd]))
+        return np.column_stack(np.divmod(self.keys, max(self.n, 1)))
 
     @classmethod
     def from_edge_arrays(cls, n, u, v):
         """Build from parallel endpoint arrays, one entry per undirected edge
-        (either orientation). Raises ValueError on self-loops, duplicate
-        edges (equal neighbouring keys), endpoints outside [0, n), or n above
-        MAX_N."""
+        in either orientation; keys that already ascend skip the sort. Raises
+        ValueError on self-loops, duplicate edges, ids outside [0, n) or n > MAX_N."""
         n = int(n)
         if not 0 <= n <= MAX_N:
             raise ValueError(f"n must be in [0, {MAX_N}]")
@@ -64,12 +73,13 @@ class Graph:
                 raise ValueError("vertex id outside [0, n)")
             if (u == v).any():
                 raise ValueError("self-loops are not allowed")
-        keys = np.concatenate((u * n + v, v * n + u))
-        keys.sort()
-        if (keys[1:] == keys[:-1]).any():
-            raise ValueError("duplicate edge")
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        return cls(indptr=indptr, indices=keys % max(n, 1))
+        keys = np.minimum(u, v) * n
+        keys += np.maximum(u, v)
+        if not (keys[1:] > keys[:-1]).all():
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                raise ValueError("duplicate edge")
+        return cls(n=n, keys=keys)
 
     @classmethod
     def from_edges(cls, n, edges):

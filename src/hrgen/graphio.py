@@ -114,9 +114,9 @@ def _parse_pairs(buf):
 
 
 def read_edgelist(path):
-    """Returns (graph, header-or-None). Files without a header get n from
-    the largest vertex id. Every non-blank line after the header must hold
-    exactly two decimal integers; any other line raises ValueError."""
+    """Returns (graph, header-or-None); without a header, n is the largest id
+    plus one. Each non-blank line after the header must hold two decimal ids,
+    else ValueError. Lines may come in any order; sorted ones skip a sort."""
     header = None
     values = []
     with open(path, "rb") as fh:

@@ -176,8 +176,7 @@ def long_range_scalar(graph: Graph, fraction, seed) -> Graph:
         added[lo, hi] = None
     new = np.array(list(added), dtype=np.int64).reshape(-1, 2)
     edges = np.concatenate((graph.edge_array(), new))
-    indptr, indices = csr_lexsort(n, edges[:, 0], edges[:, 1])
-    return Graph(indptr=indptr, indices=indices)
+    return Graph(n=n, keys=np.unique(edges[:, 0] * n + edges[:, 1]))
 
 
 def write_edgelist_lines(graph: Graph, path, header=None):

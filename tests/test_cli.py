@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,43 @@ def test_infeasible_parameters_exit_one(tmp_path, capsys):
     assert code == 1
     assert stderr.startswith("error:")
     assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "size_flags", [["--radius", "38"], ["--avg-degree", "1e-6"]]
+)
+def test_radius_beyond_the_poincare_disk_exits_one(tmp_path, capsys, size_flags):
+    out = tmp_path / "x.edges"
+    code, stdout, stderr = run_cli(
+        capsys,
+        "generate", "--nodes", "100", *size_flags, "--alpha", "1",
+        "--output", str(out),
+    )
+    assert code == 1
+    assert stderr.startswith("error: disk radius") and "too large" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_generate_does_not_import_scipy(tmp_path):
+    # analysis imports scipy where it is called; generation must not pay for it
+    script = f"""
+import sys
+from hrgen.cli import main
+path = {str(tmp_path / "g.edges")!r}
+assert "scipy" not in sys.modules
+assert main(["generate", "--nodes", "300", "--avg-degree", "6", "--gamma", "3",
+             "--output", path]) == 0
+assert "scipy" not in sys.modules, "generate loaded scipy"
+assert main(["analyze", "--input", path]) == 0
+assert "scipy" in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("STATS\t") and "max_core" in done.stdout
 
 
 def test_sweep_records_per_cell_errors(tmp_path, capsys):

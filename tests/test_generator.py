@@ -58,6 +58,27 @@ def test_params_require_exactly_one_of_each_pair():
         GeneratorParams(n=10, avg_degree=4.0, gamma=3.0, long_range_fraction=1.0)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        GeneratorParams(n=100, radius=38.0, alpha=1.0),
+        # the degree target solves to R = 38.7
+        GeneratorParams(n=100, avg_degree=1e-6, alpha=1.0),
+    ],
+)
+def test_radius_beyond_the_poincare_disk_rejected(params):
+    # tanh(R/2) rounds to 1 from R = 37.98 on
+    with pytest.raises(ParameterDomainError, match="too large"):
+        params.resolve()
+    with pytest.raises(ParameterDomainError, match="too large"):
+        generate(params)
+
+
+def test_radius_just_inside_the_poincare_disk_accepted():
+    assert to_poincare_radius(37.9) < 1.0
+    assert generate(GeneratorParams(n=100, radius=37.9, alpha=1.0)).n == 100
+
+
 def test_resolve_translates_gamma_and_degree():
     p = GeneratorParams(n=1000, avg_degree=8.0, gamma=3.0)
     model = p.resolve()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrgen import Graph
@@ -75,11 +75,14 @@ def test_edge_input_order_is_irrelevant():
     assert np.array_equal(a.indptr, b.indptr)
 
 
-def random_edge_list(n, density, seed):
+def random_edge_list(n, density, seed, ascending=False):
     """A random simple edge list on n vertices, each edge in random
-    orientation, in random order."""
+    orientation, in random order; or, if `ascending`, each pair as (u, v)
+    with u < v, in lexicographic order, as an edge file holds them."""
     rng = np.random.default_rng(seed)
     u, v = np.nonzero(np.triu(rng.random((n, n)) < density, k=1))
+    if ascending:
+        return u, v
     flip = rng.random(u.size) < 0.5
     u, v = np.where(flip, v, u), np.where(flip, u, v)
     order = rng.permutation(u.size)
@@ -87,34 +90,43 @@ def random_edge_list(n, density, seed):
 
 
 @given(st.integers(0, 200), st.floats(0.0, 0.3), st.integers(0, 2**32 - 1))
+@example(n=0, density=0.0, seed=0)
+@example(n=7, density=0.0, seed=0)
 @settings(max_examples=80, deadline=None)
 def test_from_edge_arrays_matches_lexsort_oracle(n, density, seed):
-    # sparse draws leave isolated vertices, including the first and the last
-    u, v = random_edge_list(n, density, seed)
-    g = Graph.from_edge_arrays(n, u, v)
-    indptr, indices = csr_lexsort(n, u, v)
-    assert np.array_equal(g.indptr, indptr)
-    assert np.array_equal(g.indices, indices)
+    # sparse draws leave isolated vertices, including the first and the last;
+    # ascending input skips the sort
+    for ascending in (False, True):
+        u, v = random_edge_list(n, density, seed, ascending)
+        g = Graph.from_edge_arrays(n, u, v)
+        indptr, indices = csr_lexsort(n, u, v)
+        assert g.n == n and g.m == u.size
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+        assert np.array_equal(g.keys, np.sort(np.minimum(u, v) * n + np.maximum(u, v)))
 
 
 @pytest.mark.parametrize("flaw", ["reversed_duplicate", "self_loop", "id_n", "id_negative"])
 @given(st.integers(2, 120), st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_from_edge_arrays_rejects_flawed_input(flaw, n, seed):
-    u, v = random_edge_list(n, 0.2, seed)
-    rng = np.random.default_rng(seed)
-    if u.size == 0:
-        u, v = np.array([0]), np.array([1])
-    i = int(rng.integers(0, u.size))
-    bad_u, bad_v = {
-        "reversed_duplicate": (v[i], u[i]),
-        "self_loop": (u[i], u[i]),
-        "id_n": (u[i], n),
-        "id_negative": (-1, v[i]),
-    }[flaw]
-    at = int(rng.integers(0, u.size + 1))
-    with pytest.raises(ValueError):
-        Graph.from_edge_arrays(n, np.insert(u, at, bad_u), np.insert(v, at, bad_v))
+    for ascending in (False, True):
+        u, v = random_edge_list(n, 0.2, seed, ascending)
+        rng = np.random.default_rng(seed)
+        if u.size == 0:
+            u, v = np.array([0]), np.array([1])
+        i = int(rng.integers(0, u.size))
+        bad_u, bad_v = {
+            "reversed_duplicate": (v[i], u[i]),
+            "self_loop": (u[i], u[i]),
+            "id_n": (u[i], n),
+            "id_negative": (-1, v[i]),
+        }[flaw]
+        # placed right after its model, a reversed duplicate gives ascending
+        # input two equal neighbouring keys
+        at = i + 1 if ascending else int(rng.integers(0, u.size + 1))
+        with pytest.raises(ValueError):
+            Graph.from_edge_arrays(n, np.insert(u, at, bad_u), np.insert(v, at, bad_v))
 
 
 @pytest.mark.parametrize("n", [MAX_N + 1, 2**32])

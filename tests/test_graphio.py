@@ -110,6 +110,42 @@ def test_blank_space_and_line_ends_accepted(tmp_path):
     assert g.edge_array().tolist() == [[0, 1], [2, 3], [4, 5]]
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shuffled_and_reversed_lines_read_to_the_same_graph(tmp_path, seed):
+    g = generate(GeneratorParams(n=300, avg_degree=6.0, gamma=3.0, seed=seed))
+    rng = np.random.default_rng(seed)
+    edges = g.edge_array()[rng.permutation(g.m)]
+    flip = rng.random(g.m) < 0.5
+    edges[flip] = edges[flip, ::-1]
+    path = tmp_path / "shuffled.edges"
+    path.write_text(f"# 300 {g.m} 0 1.0 1.0\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    back, _ = read_edgelist(path)
+    assert back.n == g.n
+    assert np.array_equal(back.keys, g.keys)
+
+
+def test_ascending_file_with_reversed_duplicate_rejected(tmp_path):
+    # every pair ascends, and the file is sorted up to its last line, which
+    # repeats the first edge reversed
+    path = tmp_path / "dup.edges"
+    path.write_text("0 1\n0 2\n1 2\n1 0\n")
+    with pytest.raises(ValueError, match="duplicate"):
+        read_edgelist(path)
+
+
+def test_edge_list_round_trip_never_builds_the_csr(tmp_path):
+    g = generate(
+        GeneratorParams(n=2000, avg_degree=8.0, gamma=3.0, seed=5, long_range_fraction=0.1)
+    )
+    path = tmp_path / "g.edges"
+    write_edgelist(g, path)
+    back, _ = read_edgelist(path)
+    for graph in (g, back):
+        assert "indptr" not in vars(graph) and "indices" not in vars(graph)
+    back.degrees()
+    assert "indptr" in vars(back)
+
+
 def test_generated_graph_roundtrip(tmp_path):
     g = generate(GeneratorParams(n=2000, avg_degree=8.0, gamma=3.0, seed=5))
     path = tmp_path / "big.edges"
