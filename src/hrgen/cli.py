@@ -6,7 +6,9 @@ Subcommands:
   sweep      parameter grid -> per-run measures as CSV rows plus averages
 
 Parameter errors exit with status 1 and a message on stderr; the STATS line
-of `generate` is tab-separated key=value pairs for easy scraping.
+of `generate` is tab-separated key=value pairs for easy scraping. Its
+`peak_rss_mb`, the process's peak resident set, is left out where
+/proc/self/status does not exist.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import time
 
 from .analysis import AnalysisReport, analyze
 from .errors import ParameterDomainError
@@ -75,9 +78,24 @@ def _params_from_args(args) -> GeneratorParams:
     )
 
 
+def _peak_rss_mb():
+    """This process's peak resident set in MB from VmHWM, or None where
+    /proc/self/status does not exist. Unlike ru_maxrss, VmHWM starts afresh
+    at exec and leaves out the parent's peak."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
+
+
 def _cmd_generate(args) -> int:
     params = _params_from_args(args)
     graph, stats = generate_with_stats(params)
+    t0 = time.perf_counter_ns()
     if args.format == "edgelist":
         header = EdgeListHeader(
             n=graph.n, m=graph.m, seed=params.seed, radius=stats.radius, alpha=stats.alpha
@@ -85,22 +103,21 @@ def _cmd_generate(args) -> int:
         write_edgelist(graph, args.output, header)
     else:
         write_metis(graph, args.output)
-    print(
-        "STATS\t"
-        + "\t".join(
-            f"{key}={value}"
-            for key, value in (
-                ("n", stats.n),
-                ("m", stats.m),
-                ("R", f"{stats.radius:.10g}"),
-                ("alpha", f"{stats.alpha:.10g}"),
-                ("t_sample_ns", stats.t_sample_ns),
-                ("t_build_ns", stats.t_build_ns),
-                ("t_edges_ns", stats.t_edges_ns),
-                ("t_long_range_ns", stats.t_long_range_ns),
-            )
-        )
-    )
+    fields = [
+        ("n", stats.n),
+        ("m", stats.m),
+        ("R", f"{stats.radius:.10g}"),
+        ("alpha", f"{stats.alpha:.10g}"),
+        ("t_sample_ns", stats.t_sample_ns),
+        ("t_build_ns", stats.t_build_ns),
+        ("t_edges_ns", stats.t_edges_ns),
+        ("t_long_range_ns", stats.t_long_range_ns),
+        ("t_write_ns", time.perf_counter_ns() - t0),
+    ]
+    peak = _peak_rss_mb()
+    if peak is not None:
+        fields.append(("peak_rss_mb", f"{peak:.1f}"))
+    print("STATS\t" + "\t".join(f"{key}={value}" for key, value in fields))
     if args.analyze:
         print(analyze(graph).to_text(), end="")
     return 0

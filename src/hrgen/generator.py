@@ -12,6 +12,14 @@ tests. Each vertex asks only for the vertices after it in (radius, id)
 order, so every edge is found once. `generate_brute_force` is the quadratic
 reference implementation used to validate it. Both decide every pair with
 `geometry.within_distance`, on the same coordinates and weights.
+
+Memory: `generate` holds each edge once, as its 8-byte key, from the query
+to the returned graph. While the query runs, the coordinates and the tree
+take about 90 bytes per vertex, and each querying thread one scan block of
+about 20 MB (`quadtree._SCAN_BLOCK`). They are dropped before the blocks'
+keys are joined into one array, which holds the keys twice, 16 bytes per
+edge, for a moment. Shortcuts hold a second copy while they are merged in.
+`graphio.write_edgelist` then needs about 15 MB, whatever m is.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .geometry import (
     to_poincare_radius,
     within_distance,
 )
-from .graph import Graph
+from .graph import MAX_N, Graph
 from .quadtree import PolarQuadtree
 
 # Vertices are processed in fixed-size blocks during the edge phase. The
@@ -76,8 +84,8 @@ class GeneratorParams:
     long_range_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterDomainError("n must be at least 1")
+        if not 1 <= self.n <= MAX_N:
+            raise ParameterDomainError(f"n must be in [1, {MAX_N}]")
         if (self.avg_degree is None) == (self.radius is None):
             raise ParameterDomainError(
                 "exactly one of avg_degree and radius must be set"
@@ -178,8 +186,10 @@ def sample_points(n, alpha, radius, seed) -> VertexCoordinates:
     return VertexCoordinates(phi=phi, r_native=r_native, r_poincare=r_poincare)
 
 
-def _edge_block(tree, coords, weight, radius, lo, hi):
-    """Edges (v, w) with v in [lo, hi) and w after v in (radius, id) order."""
+def _edge_keys(tree, coords, weight, radius, lo, hi):
+    """Keys min(v, w) * n + max(v, w) of the edges (v, w) with v in [lo, hi)
+    and w after v in (radius, id) order, formed in the query's own index
+    buffer: new arrays for them would be paged in afresh for every block."""
     qidx, ids = tree.query_many(
         coords.phi[lo:hi],
         coords.r_poincare[lo:hi],
@@ -187,7 +197,31 @@ def _edge_block(tree, coords, weight, radius, lo, hi):
         np.arange(lo, hi),
         radius,
     )
-    return qidx + lo, ids
+    v = qidx
+    v += lo
+    # min * n + max = v * (n + 1) + (w - v) * (n if w < v else 1); no term
+    # leaves int64 while n <= graph.MAX_N.
+    n = coords.n
+    ids -= v
+    np.multiply(ids, n, out=ids, where=ids < 0)
+    v *= n + 1
+    v += ids
+    return v
+
+
+def _query_edge_keys(tree, coords, weight, radius, threads):
+    """Edge keys of every vertex's query, one array per block of vertices,
+    in block order."""
+    n = coords.n
+    blocks = [(lo, min(lo + _EDGE_CHUNK, n)) for lo in range(0, n, _EDGE_CHUNK)]
+
+    def run(block):
+        return _edge_keys(tree, coords, weight, radius, *block)
+
+    if threads == 1 or len(blocks) == 1:
+        return [run(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, blocks))
 
 
 def generate_with_stats(params: GeneratorParams):
@@ -210,19 +244,11 @@ def generate_with_stats(params: GeneratorParams):
     )
     t2 = time.perf_counter_ns()
 
-    blocks = [(lo, min(lo + _EDGE_CHUNK, n)) for lo in range(0, n, _EDGE_CHUNK)]
-
-    def run(block):
-        return _edge_block(tree, coords, weight, model.R, *block)
-
-    if params.threads == 1 or len(blocks) == 1:
-        results = [run(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=params.threads) as pool:
-            results = list(pool.map(run, blocks))
-    us = np.concatenate([r[0] for r in results])
-    vs = np.concatenate([r[1] for r in results])
-    graph = Graph.from_edge_arrays(n, us, vs)
+    blocks = _query_edge_keys(tree, coords, weight, model.R, params.threads)
+    del tree, coords, weight
+    keys = np.concatenate(blocks)
+    del blocks
+    graph = Graph.from_edge_arrays(n, keys)
     t3 = time.perf_counter_ns()
 
     t_long_range_ns = 0

@@ -5,6 +5,12 @@ ascending, so it lists the edges in lexicographic order and holds no repeat.
 Construction rejects self-loops and parallel edges. The CSR view, in which
 `indices[indptr[v]:indptr[v+1]]` is the sorted neighbor list of v, is derived
 from the keys on first use and then kept; writing an edge list never needs it.
+
+Memory: 8 bytes per edge for the keys. Building from keys sorts them in place
+and checks them with temporaries of one byte per edge plus one block of
+`_CHECK_BLOCK` keys; building from endpoint pairs adds the 16 bytes per edge
+of the pairs. The CSR view, when built, adds 16 bytes per edge and 8 per
+vertex.
 """
 
 from __future__ import annotations
@@ -16,11 +22,24 @@ import numpy as np
 
 MAX_N = 3_037_000_499  # largest n whose keys, up to n*n - 1, fit in int64
 
+# Keys given directly are decoded for checking in blocks of this many.
+_CHECK_BLOCK = 1 << 20
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """Equal graphs have the same n and keys. A Graph holds a mutable array,
+    so it is not hashable."""
+
     n: int
     keys: np.ndarray
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.keys, other.keys)
 
     @property
     def m(self):
@@ -52,29 +71,45 @@ class Graph:
         i = np.searchsorted(self.keys, key)
         return i < self.m and self.keys[i] == key
 
-    def edge_array(self):
-        """All edges as an (m, 2) array with u < v, sorted lexicographically."""
-        return np.column_stack(np.divmod(self.keys, max(self.n, 1)))
+    def edge_array(self, start=0, stop=None):
+        """Edges start..stop - 1 (all by default) as a 2-column array with
+        u < v, sorted lexicographically."""
+        return np.column_stack(np.divmod(self.keys[start:stop], max(self.n, 1)))
 
     @classmethod
-    def from_edge_arrays(cls, n, u, v):
-        """Build from parallel endpoint arrays, one entry per undirected edge
-        in either orientation; keys that already ascend skip the sort. Raises
-        ValueError on self-loops, duplicate edges, ids outside [0, n) or n > MAX_N."""
+    def from_edge_arrays(cls, n, u, v=None):
+        """Build from parallel endpoint arrays u and v, one entry per
+        undirected edge in either orientation, or, with v omitted, from the
+        edge keys min * n + max in u. An int64 key array is sorted in place
+        and kept, so the edges are held once. Keys that already ascend skip
+        the sort. Raises ValueError on self-loops, duplicate edges, ids
+        outside [0, n) or n > MAX_N."""
         n = int(n)
         if not 0 <= n <= MAX_N:
             raise ValueError(f"n must be in [0, {MAX_N}]")
         u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape or u.ndim != 1:
-            raise ValueError("endpoint arrays must be 1-d and of equal length")
-        if u.size:
-            if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
-                raise ValueError("vertex id outside [0, n)")
-            if (u == v).any():
-                raise ValueError("self-loops are not allowed")
-        keys = np.minimum(u, v) * n
-        keys += np.maximum(u, v)
+        if v is None:
+            keys = u
+            if keys.ndim != 1:
+                raise ValueError("edge keys must be 1-d")
+            if keys.size:
+                if keys.min() < 0 or keys.max() >= n * n:
+                    raise ValueError("vertex id outside [0, n)")
+                for lo in range(0, keys.size, _CHECK_BLOCK):
+                    low, high = np.divmod(keys[lo : lo + _CHECK_BLOCK], n)
+                    if (low >= high).any():
+                        raise ValueError("edge key u * n + v with u >= v")
+        else:
+            v = np.asarray(v, dtype=np.int64)
+            if u.shape != v.shape or u.ndim != 1:
+                raise ValueError("endpoint arrays must be 1-d and of equal length")
+            if u.size:
+                if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+                    raise ValueError("vertex id outside [0, n)")
+                if (u == v).any():
+                    raise ValueError("self-loops are not allowed")
+            keys = np.minimum(u, v) * n
+            keys += np.maximum(u, v)
         if not (keys[1:] > keys[:-1]).all():
             keys.sort()
             if (keys[1:] == keys[:-1]).any():

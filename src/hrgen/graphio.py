@@ -15,7 +15,8 @@ import numpy as np
 
 from .graph import Graph
 
-_WRITE_BLOCK = 262_144
+# Writers format this many edge lines, or METIS values, per block.
+_WRITE_BLOCK = 131_072
 
 # Edge files are parsed in blocks of about this many bytes, cut at line ends.
 _READ_BLOCK = 1 << 18
@@ -36,44 +37,44 @@ class EdgeListHeader:
         return f"# {self.n} {self.m} {self.seed} {self.radius!r} {self.alpha!r}\n"
 
 
-def _write_ints(fh, values, seps):
-    """Write each value in decimal, then its separator byte; a negative value
-    writes its separator alone. Each block is a digit matrix, one row per
-    value, whose leading zeros are masked out before the bytes are written."""
-    for lo in range(0, values.size, _WRITE_BLOCK):
-        vals = values[lo : lo + _WRITE_BLOCK]
-        width = len(str(max(int(vals.max()), 0)))
-        text = np.empty((vals.size, width + 1), dtype=np.uint8)
-        keep = np.ones(text.shape, dtype=bool)
-        rest = vals
-        for col in range(width - 1, -1, -1):
-            keep[:, col] = rest > 0
-            quot = rest // 10
-            text[:, col] = rest - quot * 10
-            rest = quot
-        keep[:, width - 1] = vals >= 0
-        text += ord("0")
-        text[:, width] = seps[lo : lo + _WRITE_BLOCK]
-        fh.write(text[keep])
+def _format_ints(values, seps):
+    """Bytes of each value in decimal, then its separator byte; a negative
+    value gives its separator alone. The values form a digit matrix, one row
+    per value, whose leading zeros are masked out."""
+    width = len(str(max(int(values.max()), 0)))
+    text = np.empty((values.size, width + 1), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    rest = values
+    for col in range(width - 1, -1, -1):
+        keep[:, col] = rest > 0
+        quot = rest // 10
+        text[:, col] = rest - quot * 10
+        rest = quot
+    keep[:, width - 1] = values >= 0
+    text += ord("0")
+    text[:, width] = seps
+    return text[keep]
 
 
 def write_edgelist(graph: Graph, path, header: EdgeListHeader | None = None):
-    """Raises ValueError, before opening the file, on a header whose n or m
-    is not the graph's."""
+    """Writes the edges of `graph.keys` one block at a time, so the file
+    costs no memory per edge. Raises ValueError, before opening the file, on
+    a header whose n or m is not the graph's."""
     if header is not None and (header.n, header.m) != (graph.n, graph.m):
         raise ValueError(f"header n, m = {header.n}, {header.m} contradicts the graph")
-    edges = graph.edge_array()
-    seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), edges.shape[0])
+    seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), min(graph.m, _WRITE_BLOCK))
     with open(path, "wb") as fh:
         if header is not None:
             fh.write(header.line().encode())
-        _write_ints(fh, edges.ravel(), seps)
+        for lo in range(0, graph.m, _WRITE_BLOCK):
+            values = graph.edge_array(lo, lo + _WRITE_BLOCK).ravel()
+            fh.write(_format_ints(values, seps[: values.size]))
 
 
 def _parse_pairs(buf):
     """Integers of a block of whole edge lines, as a flat int64 array.
 
-    The inverse of `_write_ints`: the bytes between two separators are one
+    The inverse of `_format_ints`: the bytes between two separators are one
     value, summed from its digits one decimal place per pass, from the last
     digit of every value to its first. Raises ValueError for a byte other
     than a digit, blank or line end, and for a non-blank line that does not
@@ -164,4 +165,6 @@ def write_metis(graph: Graph, path):
     seps[np.cumsum(np.maximum(deg, 1)) - 1] = ord("\n")
     with open(path, "wb") as fh:
         fh.write(f"{graph.n} {graph.m}\n".encode())
-        _write_ints(fh, values, seps)
+        for lo in range(0, values.size, _WRITE_BLOCK):
+            hi = lo + _WRITE_BLOCK
+            fh.write(_format_ints(values[lo:hi], seps[lo:hi]))

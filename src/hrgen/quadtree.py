@@ -75,8 +75,10 @@ _BAND_STRIDE = 2.0 * TWO_PI
 _TINY = np.finfo(np.float64).tiny
 
 # Band scans materialize one candidate row per (query, point) pair; pairs are
-# consumed in blocks of at most this many candidates to bound peak memory.
-_SCAN_BLOCK = 2_000_000
+# consumed in blocks of at most this many candidates (plus one window). About
+# ten arrays of 8 bytes per candidate are alive in a block, about 20 MB per
+# querying thread; the hits kept from it add 16 bytes each.
+_SCAN_BLOCK = 1 << 18
 
 
 def band_boundaries(rows, core, alpha, max_r_native):

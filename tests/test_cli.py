@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrgen import GeneratorParams, generate, read_edgelist
+from hrgen import GeneratorParams, cli, generate, read_edgelist
 from hrgen.analysis import AnalysisReport
 from hrgen.cli import main
+from hrgen.graph import MAX_N
 
 
 def run_cli(capsys, *argv):
@@ -177,6 +178,63 @@ def test_radius_beyond_the_poincare_disk_exits_one(tmp_path, capsys, size_flags)
     assert stderr.startswith("error: disk radius") and "too large" in stderr
     assert stdout == ""
     assert not out.exists()
+
+
+def test_n_beyond_int64_keys_exits_one_without_a_file(tmp_path, capsys):
+    out = tmp_path / "x.edges"
+    code, stdout, stderr = run_cli(
+        capsys,
+        "generate", "--nodes", str(MAX_N + 1), "--avg-degree", "16", "--gamma", "3",
+        "--output", str(out),
+    )
+    assert code == 1
+    assert stderr.startswith("error: n must be in")
+    assert stdout == ""
+    assert not out.exists()
+
+
+STATS_KEYS = [
+    "n", "m", "R", "alpha", "t_sample_ns", "t_build_ns", "t_edges_ns",
+    "t_long_range_ns", "t_write_ns",
+]
+
+
+def stats_fields(stdout):
+    line = stdout.splitlines()[0].split("\t")
+    assert line[0] == "STATS"
+    return dict(field.split("=", 1) for field in line[1:])
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="peak RSS is read from /proc"
+)
+def test_stats_line_ends_with_write_time_and_peak_rss(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys,
+        "generate", "--nodes", "300", "--avg-degree", "6", "--gamma", "3",
+        "--output", str(tmp_path / "g.edges"),
+    )
+    assert code == 0
+    stats = stats_fields(stdout)
+    assert list(stats) == STATS_KEYS + ["peak_rss_mb"]
+    assert int(stats["t_write_ns"]) > 0
+    assert float(stats["peak_rss_mb"]) > 0.0
+
+
+def test_stats_line_omits_peak_rss_without_proc(tmp_path, capsys, monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        if str(path).startswith("/proc/"):
+            raise FileNotFoundError(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    code, stdout, _ = run_cli(
+        capsys,
+        "generate", "--nodes", "300", "--avg-degree", "6", "--gamma", "3",
+        "--output", str(tmp_path / "g.edges"),
+    )
+    assert code == 0
+    assert list(stats_fields(stdout)) == STATS_KEYS
 
 
 def test_generate_does_not_import_scipy(tmp_path):

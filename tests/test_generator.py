@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,9 +22,11 @@ from hrgen import (
     radial_inverse_cdf,
     sample_points,
     to_poincare_radius,
+    write_edgelist,
 )
 from hrgen import generator
 from hrgen.geometry import TWO_PI, disk_weight, within_distance
+from hrgen.graph import MAX_N
 
 from helpers import gnp_graph, long_range_scalar
 
@@ -72,6 +75,13 @@ def test_radius_beyond_the_poincare_disk_rejected(params):
         params.resolve()
     with pytest.raises(ParameterDomainError, match="too large"):
         generate(params)
+
+
+def test_n_beyond_int64_keys_rejected_before_sampling():
+    # checked in the constructor, before 16 n bytes of coordinates exist
+    assert GeneratorParams(n=MAX_N, avg_degree=16.0, gamma=3.0).n == MAX_N
+    with pytest.raises(ParameterDomainError, match="n must be in"):
+        GeneratorParams(n=MAX_N + 1, avg_degree=16.0, gamma=3.0)
 
 
 def test_radius_just_inside_the_poincare_disk_accepted():
@@ -313,6 +323,28 @@ def test_generation_with_shortcuts_builds_the_csr_once(monkeypatch):
     graph, _ = generate_with_stats(params)
     assert calls == [3000]
     assert graph.m > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_generation_and_write_stay_below_32_bytes_per_edge(tmp_path, threads):
+    # each edge is held once, as its key, from the query to the file
+    params = GeneratorParams(
+        n=100_000,
+        avg_degree=64.0,
+        gamma=2.2,
+        seed=0,
+        threads=threads,
+        long_range_fraction=0.05,
+    )
+    tracemalloc.start()
+    try:
+        graph, _ = generate_with_stats(params)
+        write_edgelist(graph, tmp_path / "g.edges")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.m > 3_000_000
+    assert peak <= 32 * graph.m, f"{peak / graph.m:.1f} bytes per edge"
 
 
 # -- the edge predicate at the edges of the domain ------------------------------

@@ -103,7 +103,11 @@ def test_from_edge_arrays_matches_lexsort_oracle(n, density, seed):
         assert g.n == n and g.m == u.size
         assert np.array_equal(g.indptr, indptr)
         assert np.array_equal(g.indices, indices)
-        assert np.array_equal(g.keys, np.sort(np.minimum(u, v) * n + np.maximum(u, v)))
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        assert np.array_equal(g.keys, np.sort(keys))
+        # the same graph from its keys, which are sorted in place and kept
+        from_keys = Graph.from_edge_arrays(n, keys)
+        assert from_keys == g and from_keys.keys is keys
 
 
 @pytest.mark.parametrize("flaw", ["reversed_duplicate", "self_loop", "id_n", "id_negative"])
@@ -127,6 +131,11 @@ def test_from_edge_arrays_rejects_flawed_input(flaw, n, seed):
         at = i + 1 if ascending else int(rng.integers(0, u.size + 1))
         with pytest.raises(ValueError):
             Graph.from_edge_arrays(n, np.insert(u, at, bad_u), np.insert(v, at, bad_v))
+        # as a key, a reversed pair reads as the pair itself or as a key whose
+        # low part exceeds its high part
+        keys = np.minimum(u, v) * n + np.maximum(u, v)
+        with pytest.raises(ValueError):
+            Graph.from_edge_arrays(n, np.insert(keys, at, bad_u * n + bad_v))
 
 
 @pytest.mark.parametrize("n", [MAX_N + 1, 2**32])
@@ -134,3 +143,23 @@ def test_from_edge_arrays_rejects_n_beyond_int64_keys(n):
     # the bound is checked before indptr (n + 1 entries) is allocated
     with pytest.raises(ValueError, match="n must be in"):
         Graph.from_edge_arrays(n, [0], [1])
+    with pytest.raises(ValueError, match="n must be in"):
+        Graph.from_edge_arrays(n, [1])
+
+
+def test_graphs_compare_by_n_and_keys():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert g == Graph(n=3, keys=g.keys.copy())
+    assert not g != Graph(n=3, keys=g.keys.copy())
+    assert g != Graph.from_edges(4, [(0, 1), (1, 2)])
+    assert Graph.from_edges(3, []) != Graph.from_edges(4, [])  # keys equal, n not
+    assert g != Graph.from_edges(3, [(0, 1), (0, 2)])
+    assert g != Graph.from_edges(3, [(0, 1)])
+    assert g != (3, g.keys) and g != "graph"
+    assert g.__eq__(g.keys) is NotImplemented
+
+
+def test_graph_is_unhashable():
+    # it holds a mutable array
+    with pytest.raises(TypeError):
+        hash(Graph.from_edges(3, [(0, 1), (1, 2)]))

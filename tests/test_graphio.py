@@ -211,3 +211,35 @@ def test_writers_match_line_by_line_oracles(
     if g.n <= 3000:
         write_metis_lines(g, out / "d")
         assert (out / "c").read_bytes() == (out / "d").read_bytes()
+
+
+BLOCK = graphio._WRITE_BLOCK
+
+
+@pytest.mark.parametrize(
+    "n, m, with_header",
+    [
+        (0, 0, False),
+        (7, 0, True),
+        (1, 0, True),
+        (1, 0, False),
+        (10**6, BLOCK - 1, True),
+        (10**6, BLOCK, False),
+        (10**6, BLOCK + 1, True),
+        (10**6, 2 * BLOCK - 1, False),
+        (10**6, 2 * BLOCK, True),
+        (10**6, 2 * BLOCK + 1, False),
+    ],
+)
+def test_writer_matches_fstring_lines_at_block_boundaries(tmp_path, n, m, with_header):
+    # ids of 1 to 6 digits in every block, so block widths differ
+    rng = np.random.default_rng(m)
+    keys = np.empty(0, dtype=np.int64)
+    while keys.size < m:
+        a, b = np.minimum(10 ** rng.uniform(0, 6, size=(2, 2 * m)), n - 1).astype(np.int64)
+        keys = np.union1d(keys, (np.minimum(a, b) * n + np.maximum(a, b))[a != b])
+    g = Graph(n=n, keys=np.sort(rng.permutation(keys)[:m]))
+    header = EdgeListHeader(n=n, m=m, seed=3, radius=9.5, alpha=0.8) if with_header else None
+    write_edgelist(g, tmp_path / "a", header)
+    write_edgelist_lines(g, tmp_path / "b", header)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
