@@ -14,12 +14,13 @@ reference implementation used to validate it. Both decide every pair with
 `geometry.within_distance`, on the same coordinates and weights.
 
 Memory: `generate` holds each edge once, as its 8-byte key, from the query
-to the returned graph. While the query runs, the coordinates and the tree
-take about 90 bytes per vertex, and each querying thread one scan block of
-about 20 MB (`quadtree._SCAN_BLOCK`). They are dropped before the blocks'
-keys are joined into one array, which holds the keys twice, 16 bytes per
-edge, for a moment. Shortcuts hold a second copy while they are merged in.
-`graphio.write_edgelist` then needs about 15 MB, whatever m is.
+to the returned graph. The sampled coordinates are freed once the tree is
+built, and the query reads the tree's own points: while it runs, the tree
+takes about 56 bytes per vertex, and each querying thread one scan block of
+about 5 MB (`quadtree._SCAN_BLOCK`). The tree is dropped before the
+blocks' keys are joined into one array, which holds the keys twice, 16
+bytes per edge, for a moment. Shortcuts hold a second copy while they are
+merged in. `graphio.write_edgelist` then needs about 15 MB, whatever m is.
 """
 
 from __future__ import annotations
@@ -45,9 +46,13 @@ from .geometry import (
 from .graph import MAX_N, Graph
 from .quadtree import PolarQuadtree
 
-# Vertices are processed in fixed-size blocks during the edge phase. The
-# block grid is independent of the thread count and results are merged in
-# block order, so output is identical for any --threads value.
+# The edge phase queries the tree's stored points in blocks: slices of the
+# storage order of at most this many points that never cross a band
+# boundary. The hubs sit in the few innermost bands, so band-aligned blocks
+# keep them apart from the bulk; plain slices would put every hub in block 0
+# and serialise the threads on it. The grid depends on the tree alone and
+# results are merged in block order, so output is identical for any
+# --threads value.
 _EDGE_CHUNK = 16384
 
 # Expected points per leaf of the generator's tree, which sets the height of
@@ -135,10 +140,6 @@ class VertexCoordinates:
     def __len__(self):
         return self.phi.size
 
-    @property
-    def n(self):
-        return self.phi.size
-
 
 @dataclass(frozen=True)
 class GenerationStats:
@@ -186,37 +187,33 @@ def sample_points(n, alpha, radius, seed) -> VertexCoordinates:
     return VertexCoordinates(phi=phi, r_native=r_native, r_poincare=r_poincare)
 
 
-def _edge_keys(tree, coords, weight, radius, lo, hi):
-    """Keys min(v, w) * n + max(v, w) of the edges (v, w) with v in [lo, hi)
-    and w after v in (radius, id) order, formed in the query's own index
-    buffer: new arrays for them would be paged in afresh for every block."""
-    qidx, ids = tree.query_many(
-        coords.phi[lo:hi],
-        coords.r_poincare[lo:hi],
-        weight[lo:hi],
-        np.arange(lo, hi),
-        radius,
-    )
-    v = qidx
-    v += lo
+def _edge_keys(tree, n, radius, lo, hi):
+    """Keys min(v, w) * n + max(v, w) of the edges (v, w) with v among the
+    stored points lo..hi-1 and w after v in (radius, id) order, formed in the
+    query's own id buffers: new arrays for them would be paged in afresh for
+    every block."""
+    v, w = tree.query_many(lo, hi, radius)
     # min * n + max = v * (n + 1) + (w - v) * (n if w < v else 1); no term
     # leaves int64 while n <= graph.MAX_N.
-    n = coords.n
-    ids -= v
-    np.multiply(ids, n, out=ids, where=ids < 0)
+    w -= v
+    np.multiply(w, n, out=w, where=w < 0)
     v *= n + 1
-    v += ids
+    v += w
     return v
 
 
-def _query_edge_keys(tree, coords, weight, radius, threads):
-    """Edge keys of every vertex's query, one array per block of vertices,
-    in block order."""
-    n = coords.n
-    blocks = [(lo, min(lo + _EDGE_CHUNK, n)) for lo in range(0, n, _EDGE_CHUNK)]
+def _query_edge_keys(tree, n, radius, threads):
+    """Edge keys of every stored point's query, one array per block, in
+    block order. Blocks are band-aligned slices of the storage order."""
+    ptr = tree.band_ptr.tolist()
+    blocks = [
+        (lo, min(lo + _EDGE_CHUNK, end))
+        for start, end in zip(ptr[:-1], ptr[1:])
+        for lo in range(start, end, _EDGE_CHUNK)
+    ]
 
     def run(block):
-        return _edge_keys(tree, coords, weight, radius, *block)
+        return _edge_keys(tree, n, radius, *block)
 
     if threads == 1 or len(blocks) == 1:
         return [run(b) for b in blocks]
@@ -233,19 +230,19 @@ def generate_with_stats(params: GeneratorParams):
     coords = sample_points(n, model.alpha, model.R, params.seed)
     t1 = time.perf_counter_ns()
 
-    weight = disk_weight(coords.r_native)
     tree = PolarQuadtree.build(
         coords.phi,
         coords.r_poincare,
         alpha=model.alpha,
         max_r=to_poincare_radius(model.R),
         capacity=_LEAF_CAPACITY,
-        b=weight,
+        b=disk_weight(coords.r_native),
     )
+    del coords
     t2 = time.perf_counter_ns()
 
-    blocks = _query_edge_keys(tree, coords, weight, model.R, params.threads)
-    del tree, coords, weight
+    blocks = _query_edge_keys(tree, n, model.R, params.threads)
+    del tree
     keys = np.concatenate(blocks)
     del blocks
     graph = Graph.from_edge_arrays(n, keys)

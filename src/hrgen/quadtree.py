@@ -17,9 +17,10 @@ whole core of the disk, is split further into bands of halving mass: radii
 in geometric progression, as in von Looz et al.'s band generator. A coarse
 grid (few rows, many core bands) suits the query below.
 
-A query asks, for a point v, which stored points w come after v in
-(Poincare radius, id) order and lie within hyperbolic distance R of it.
-Queried from every stored point, that finds each edge once, from its
+A query asks, for each stored point v of a slice of the storage order,
+which stored points w come after v in (Poincare radius, id) order and lie
+within hyperbolic distance R of it. Both ends are read from the same stored
+arrays. Over slices that cover the tree, that finds each edge once, from its
 endpoint nearer the origin, and only bands at or outside v's radius need a
 look. Each such band is dropped when its stored radii miss the Euclidean
 circle that holds v's hyperbolic ball, and otherwise the angular window
@@ -76,9 +77,12 @@ _TINY = np.finfo(np.float64).tiny
 
 # Band scans materialize one candidate row per (query, point) pair; pairs are
 # consumed in blocks of at most this many candidates (plus one window). About
-# ten arrays of 8 bytes per candidate are alive in a block, about 20 MB per
-# querying thread; the hits kept from it add 16 bytes each.
-_SCAN_BLOCK = 1 << 18
+# ten arrays of 8 bytes per candidate are alive in a block, about 5 MB per
+# querying thread; the hits kept from it add 16 bytes each. Larger blocks
+# leave arrays that glibc maps and unmaps, or trims, per block: at 2^18 the
+# query of n = 10^5, k = 64, gamma = 2.2 took 71 k minor page faults, at
+# 2^16 20 k, and 0.54-0.66 s against 0.38-0.43 s (one thread, 2-core box).
+_SCAN_BLOCK = 1 << 16
 
 
 def band_boundaries(rows, core, alpha, max_r_native):
@@ -137,12 +141,10 @@ class PolarQuadtree:
     """
 
     @classmethod
-    def build(
-        cls, phi, r, ids=None, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY, b=None
-    ):
+    def build(cls, phi, r, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY, b=None):
         """Build the tree for coordinate arrays (phi, r), all points inside
-        [0, 2pi) x [0, max_r). `ids` defaults to 0..n-1, and the weights `b`
-        to 1 - r^2; points sampled by native radius pass `disk_weight` of it,
+        [0, 2pi) x [0, max_r). Point i gets id i. The weights `b` default to
+        1 - r^2; points sampled by native radius pass `disk_weight` of it,
         which keeps its digits at the rim.
 
         The height is the smallest h with n <= capacity * 4**h, so `capacity`
@@ -162,12 +164,6 @@ class PolarQuadtree:
         r = np.ascontiguousarray(r, dtype=np.float64)
         if phi.shape != r.shape or phi.ndim != 1:
             raise ValueError("phi and r must be 1-d arrays of equal length")
-        if ids is None:
-            ids = np.arange(phi.size, dtype=np.int64)
-        else:
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
-            if ids.shape != phi.shape:
-                raise ValueError("ids must match the coordinate arrays")
         if b is None:
             b = (1.0 - r) * (1.0 + r)
         else:
@@ -195,8 +191,9 @@ class PolarQuadtree:
         bounds[0], bounds[-1] = 0.0, max_r
         band = np.searchsorted(bounds[1:-1], r, side="right")
         # Bands sorted by (angle, id), so that queries cut an angular window
-        # out of a band by binary search; ids make the layout deterministic.
-        order = np.lexsort((ids, phi, band))
+        # out of a band by binary search. The sort is stable, so equal angles
+        # keep id order and the layout is deterministic.
+        order = np.lexsort((phi, band))
         band = band[order]
 
         tree = cls.__new__(cls)
@@ -206,7 +203,7 @@ class PolarQuadtree:
         tree.band_ptr = np.searchsorted(band, np.arange(bounds.size))
         tree.p_phi = phi[order]
         tree.p_r = r[order]
-        tree.p_id = ids[order]
+        tree.p_id = order
         tree.p_x = tree.p_r * np.cos(tree.p_phi)
         tree.p_y = tree.p_r * np.sin(tree.p_phi)
         tree.p_b = b[order]
@@ -227,47 +224,37 @@ class PolarQuadtree:
 
     # -- queries -----------------------------------------------------------
 
-    def query_many(self, phi, r, b, ids, radius):
-        """Each query point's neighbours among the stored points after it.
+    def query_many(self, lo, hi, radius):
+        """The neighbours of stored points `lo`..`hi`-1 among the points
+        stored after them.
 
-        Query point v = (phi[i], r[i], b[i], ids[i]) has Poincare polar
-        coordinates (phi, r), weight b = 1 - r^2 and an id. Returns
-        (query_index, point_id) pair arrays, not sorted, of the stored points
-        w that come after v in (Poincare radius, id) order and that
-        `within_distance` puts at hyperbolic distance below `radius` from v.
-        Queried from all of its own points, the tree so reports every edge
-        once, from its endpoint that comes first.
+        Returns (v_ids, w_ids) pair arrays, not sorted: for each stored point
+        v of the slice, the ids of the stored points w that come after v in
+        (Poincare radius, id) order and that `within_distance` puts at
+        hyperbolic distance below `radius` from v. Both ends of a pair are
+        read from the same stored arrays, so the predicate sees the same bits
+        from either end. Queried over slices that cover the whole tree, it
+        reports every edge once, from its endpoint that comes first.
 
         Bands whose stored radii all lie below v's are skipped, and so are
         bands whose radii miss the circle that holds v's ball. In every other
         band the points of the circle's angular window are candidates, and
         the predicate alone decides which of them are reported.
         """
-        q_phi = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-        q_r = np.atleast_1d(np.asarray(r, dtype=np.float64))
-        q_b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        q_id = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-        if q_phi.ndim != 1 or not q_phi.shape == q_r.shape == q_b.shape == q_id.shape:
-            raise ValueError("query arrays must be 1-d and of equal length")
+        if not 0 <= lo <= hi <= len(self):
+            raise ValueError("need 0 <= lo <= hi <= len(tree)")
+        q_phi, q_r, q_b = self.p_phi[lo:hi], self.p_r[lo:hi], self.p_b[lo:hi]
+        q_x, q_y, q_id = self.p_x[lo:hi], self.p_y[lo:hi], self.p_id[lo:hi]
         c_r, rad = circle_params(q_r, radius)
         rad_sq = rad * rad
-        # The query points' coordinates, computed as the stored points' are,
-        # so that the predicate sees the same bits from either end.
-        q_x = q_r * np.cos(q_phi)
-        q_y = q_r * np.sin(q_phi)
 
         # Keep the (query, band) pairs whose band reaches out to v's radius
-        # and in to the circle's outer edge. Pairs run band by band, and
-        # within a band by angle, so that consecutive windows search and scan
-        # nearby keys.
-        phase = np.mod(q_phi, TWO_PI)
-        by_angle = np.argsort(phase)
-        outer = (c_r + rad + _RADIAL_PAD)[by_angle]
-        near = (self.band_rmax[:, None] >= q_r[by_angle]) & (
-            self.band_rmin[:, None] <= outer
-        )
+        # and in to the circle's outer edge. Queries come in storage order,
+        # band by band and within a band by angle, so pairs run band by band
+        # and consecutive windows search and scan nearby keys.
+        outer = c_r + rad + _RADIAL_PAD
+        near = (self.band_rmax[:, None] >= q_r) & (self.band_rmin[:, None] <= outer)
         k, lq = np.nonzero(near)
-        lq = by_angle[lq]
 
         # A stored point at origin distance p and angular offset d from the
         # circle center lies inside iff
@@ -290,24 +277,24 @@ class PolarQuadtree:
         # window crossing 0/2pi splits into two pieces that stay apart by far
         # more than key rounding, so no point is found twice.
         whole = delta >= math.pi - _WINDOW_PAD
-        mid = phase[lq]
-        lo = np.where(whole, 0.0, mid - delta)
-        hi = np.where(whole, TWO_PI, mid + delta)
-        wrap = np.flatnonzero((lo < 0.0) | (hi > TWO_PI))
-        below = lo[wrap] < 0.0
-        lo = np.concatenate(
-            (np.maximum(lo, 0.0), np.where(below, lo[wrap] + TWO_PI, 0.0))
+        mid = q_phi[lq]
+        left = np.where(whole, 0.0, mid - delta)
+        right = np.where(whole, TWO_PI, mid + delta)
+        wrap = np.flatnonzero((left < 0.0) | (right > TWO_PI))
+        below = left[wrap] < 0.0
+        left = np.concatenate(
+            (np.maximum(left, 0.0), np.where(below, left[wrap] + TWO_PI, 0.0))
         )
-        hi = np.concatenate(
-            (np.minimum(hi, TWO_PI), np.where(below, TWO_PI, hi[wrap] - TWO_PI))
+        right = np.concatenate(
+            (np.minimum(right, TWO_PI), np.where(below, TWO_PI, right[wrap] - TWO_PI))
         )
         base = self.bands[np.concatenate((k, k[wrap]))] * _BAND_STRIDE
         lq = np.concatenate((lq, lq[wrap]))
         # Keys round by far less than the window pad.
-        ws = np.searchsorted(self.p_key, base + lo)
-        we = np.searchsorted(self.p_key, base + hi, side="right")
+        ws = np.searchsorted(self.p_key, base + left)
+        we = np.searchsorted(self.p_key, base + right, side="right")
 
-        out_q, out_p = [], []
+        out_v, out_w = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         cum = np.cumsum(we - ws)
         if cum.size and cum[-1]:
             cuts = np.searchsorted(
@@ -319,7 +306,8 @@ class PolarQuadtree:
                 pidx = multi_arange(ls, le)
                 prep = np.repeat(lqb, le - ls)
                 p_r, v_r = self.p_r[pidx], q_r[prep]
-                after = (p_r > v_r) | ((p_r == v_r) & (self.p_id[pidx] > q_id[prep]))
+                p_id, v_id = self.p_id[pidx], q_id[prep]
+                after = (p_r > v_r) | ((p_r == v_r) & (p_id > v_id))
                 hit = after & within_distance(
                     self.p_x[pidx] - q_x[prep],
                     self.p_y[pidx] - q_y[prep],
@@ -327,16 +315,9 @@ class PolarQuadtree:
                     q_b[prep],
                     radius,
                 )
-                out_p.append(pidx[hit])
-                out_q.append(prep[hit])
-
-        if out_q:
-            qidx = np.concatenate(out_q)
-            ids = self.p_id[np.concatenate(out_p)]
-        else:
-            qidx = np.empty(0, dtype=np.int64)
-            ids = np.empty(0, dtype=np.int64)
-        return qidx, ids
+                out_v.append(v_id[hit])
+                out_w.append(p_id[hit])
+        return np.concatenate(out_v), np.concatenate(out_w)
 
     # -- introspection ------------------------------------------------------
 

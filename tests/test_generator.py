@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -133,7 +134,7 @@ def test_sample_points_deterministic_and_in_range():
     assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.r_native, b.r_native)
     assert np.array_equal(a.r_poincare, b.r_poincare)
-    assert len(a) == a.n == 5000
+    assert len(a) == 5000
     assert a.phi.min() >= 0.0 and a.phi.max() < TWO_PI
     assert a.r_native.min() >= 0.0 and a.r_native.max() < 14.0
     assert a.r_poincare.max() < 1.0
@@ -192,11 +193,63 @@ def test_same_seed_same_graph_different_seed_different_graph():
 
 
 def test_thread_count_does_not_change_output():
-    base = dict(n=25_000, avg_degree=12.0, gamma=2.8, seed=4)
-    g1 = generate(GeneratorParams(**base, threads=1))
-    g3 = generate(GeneratorParams(**base, threads=3))
-    assert np.array_equal(g1.indptr, g3.indptr)
-    assert np.array_equal(g1.indices, g3.indices)
+    # the second case is hub-heavy and spans more than one block per band
+    for base in (
+        dict(n=25_000, avg_degree=12.0, gamma=2.8, seed=4),
+        dict(n=40_000, avg_degree=32.0, gamma=2.2, seed=5),
+    ):
+        assert base["n"] > generator._EDGE_CHUNK
+        g1 = generate(GeneratorParams(**base, threads=1))
+        g3 = generate(GeneratorParams(**base, threads=3))
+        assert np.array_equal(g1.indptr, g3.indptr)
+        assert np.array_equal(g1.indices, g3.indices)
+
+
+def test_edge_blocks_are_band_aligned_storage_slices(monkeypatch):
+    seen, query_many = {}, PolarQuadtree.query_many
+
+    def recorded(tree, lo, hi, radius):
+        seen.setdefault(id(tree), (tree, []))[1].append((lo, hi))
+        return query_many(tree, lo, hi, radius)
+
+    monkeypatch.setattr(PolarQuadtree, "query_many", recorded)
+    monkeypatch.setattr(generator, "_EDGE_CHUNK", 1000)
+    n = 20_000
+    for threads in (1, 3):
+        generate(GeneratorParams(n=n, avg_degree=8.0, gamma=2.5, seed=2, threads=threads))
+    (tree, grid1), (_, grid3) = seen.values()
+    # the grid is the same for any thread count
+    slices = sorted(grid1)
+    assert slices == sorted(grid3)
+    # the slices cover [0, n) once, each non-empty and at most one chunk long
+    assert slices[0][0] == 0 and slices[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+    assert all(0 < hi - lo <= 1000 for lo, hi in slices)
+    # no slice crosses a band boundary, and bands fill their slices
+    ptr = tree.band_ptr
+    assert not any(np.any((lo < ptr) & (ptr < hi)) for lo, hi in slices)
+    assert sum(hi - lo == 1000 for lo, hi in slices) >= 10
+    assert len(slices) == sum(-(-int(size) // 1000) for size in np.diff(ptr))
+
+
+def test_coordinates_are_freed_before_the_query(monkeypatch):
+    refs, alive, query_many = [], [], PolarQuadtree.query_many
+
+    def sampled(*args):
+        coords = sample_points(*args)
+        refs.extend(
+            weakref.ref(a) for a in (coords.phi, coords.r_native, coords.r_poincare)
+        )
+        return coords
+
+    def checked(tree, lo, hi, radius):
+        alive.append(sum(ref() is not None for ref in refs))
+        return query_many(tree, lo, hi, radius)
+
+    monkeypatch.setattr(generator, "sample_points", sampled)
+    monkeypatch.setattr(PolarQuadtree, "query_many", checked)
+    generate(GeneratorParams(n=3000, avg_degree=8.0, gamma=3.0, seed=1))
+    assert len(refs) == 3 and alive and not any(alive)
 
 
 def test_leaf_capacity_does_not_change_output():
@@ -214,10 +267,8 @@ def test_leaf_capacity_does_not_change_output():
             capacity=capacity,
             b=weight,
         )
-        qidx, ids = tree.query_many(
-            coords.phi, coords.r_poincare, weight, np.arange(n), model.R
-        )
-        pair_sets.append(np.sort(qidx * n + ids))
+        v, w = tree.query_many(0, n, model.R)
+        pair_sets.append(np.sort(v * n + w))
     # the chosen capacity makes a height-0 grid, one row of halving-mass bands
     assert tree.height() == 0
     # each edge is found once, from the endpoint nearer the origin

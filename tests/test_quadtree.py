@@ -18,24 +18,21 @@ def weight(r):
     return (1.0 - r) * (1.0 + r)
 
 
-def query(tree, phi, r, qid, radius):
-    """Ids the tree reports for one query point, ascending."""
-    _, ids = tree.query_many([phi], [r], [weight(r)], [qid], radius)
-    return np.sort(ids)
+def query(tree, qid, radius):
+    """Ids the tree reports for its stored point `qid`, ascending."""
+    at = int(np.flatnonzero(tree.p_id == qid)[0])
+    v, w = tree.query_many(at, at + 1, radius)
+    assert np.all(v == qid)
+    return np.sort(w)
 
 
-def brute_after_ids(phi, r, q_phi, q_r, qid, radius):
-    """Points after the query point in (radius, id) order that the predicate
+def brute_after_ids(phi, r, qid, radius):
+    """Points after point `qid` in (radius, id) order that the predicate
     accepts, by a linear scan."""
     ids = np.arange(phi.size)
-    after = (r > q_r) | ((r == q_r) & (ids > qid))
-    close = within_distance(
-        r * np.cos(phi) - q_r * np.cos(q_phi),
-        r * np.sin(phi) - q_r * np.sin(q_phi),
-        weight(r),
-        weight(q_r),
-        radius,
-    )
+    after = (r > r[qid]) | ((r == r[qid]) & (ids > qid))
+    x, y = r * np.cos(phi), r * np.sin(phi)
+    close = within_distance(x - x[qid], y - y[qid], weight(r), weight(r[qid]), radius)
     return np.flatnonzero(after & close)
 
 
@@ -51,12 +48,17 @@ def brute_pairs(phi, r, radius):
     return np.sort(v[keep] * n + w[keep])
 
 
-def tree_pairs(tree, phi, r, radius):
+def tree_pairs(tree, radius, cuts=()):
     """Sorted keys v * n + w of the pairs the tree reports when it is
-    queried from each of its points."""
-    n = phi.size
-    qidx, ids = tree.query_many(phi, r, weight(r), np.arange(n), radius)
-    return np.sort(qidx * n + ids)
+    queried from each of its points, in the slices that `cuts` (sorted
+    positions in the storage order) divide it into."""
+    n = len(tree)
+    bounds = [0, *cuts, n]
+    keys = [
+        v * n + w
+        for v, w in (tree.query_many(a, b, radius) for a, b in zip(bounds, bounds[1:]))
+    ]
+    return np.sort(np.concatenate(keys))
 
 
 def random_points(rng, n, max_r=0.98):
@@ -132,7 +134,7 @@ def test_constructor_domain():
     with pytest.raises(ValueError):
         PolarQuadtree.build(np.zeros((2, 2)), np.zeros((2, 2)), alpha=1.0, max_r=0.9)
     with pytest.raises(ValueError):
-        PolarQuadtree.build(*point, ids=np.arange(2), alpha=1.0, max_r=0.9)
+        PolarQuadtree.build(*point, alpha=1.0, max_r=0.9, b=np.ones(2))
 
 
 @given(
@@ -150,8 +152,7 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
         # few distinct coordinates: angle ties inside bands, piled-up cells
         phi = np.round(phi, 1) % TWO_PI
         r = np.round(r, 1) % 0.98
-    ids = rng.permutation(n)
-    tree = PolarQuadtree.build(phi, r, ids, alpha=alpha, max_r=0.98, capacity=capacity)
+    tree = PolarQuadtree.build(phi, r, alpha=alpha, max_r=0.98, capacity=capacity)
     assert len(tree) == n
     h = tree.height()
     assert n <= capacity * 4**h and (h == 0 or n > capacity * 4 ** (h - 1))
@@ -165,17 +166,15 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     assert np.all(tree.p_r < tree.band_r[band + 1])
     row_r = np.concatenate(([0.0], tree.band_r[core + 1 :]))
     width = TWO_PI / n_rows
-    phi_of, r_of = np.empty(n), np.empty(n)
-    phi_of[ids], r_of[ids] = phi, r
     leaves = tree.leaves()
     assert len(leaves) == 4**h
     for leaf in leaves:
         got = tree.leaf_point_ids(leaf)
         assert got.size == leaf.size
-        assert np.all(row_r[leaf.row] <= r_of[got])
-        assert np.all(r_of[got] < row_r[leaf.row + 1])
-        assert np.all(leaf.sector * width <= phi_of[got])
-        assert np.all(phi_of[got] < (leaf.sector + 1) * width)
+        assert np.all(row_r[leaf.row] <= r[got])
+        assert np.all(r[got] < row_r[leaf.row + 1])
+        assert np.all(leaf.sector * width <= phi[got])
+        assert np.all(phi[got] < (leaf.sector + 1) * width)
     assert sum(leaf.size for leaf in leaves) == n
     # bands are sorted by (angle, id) and p_key ascends
     same = band[1:] == band[:-1]
@@ -188,11 +187,11 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     for k, lo, hi in zip(tree.bands, tree.band_rmin, tree.band_rmax):
         stored = tree.p_r[band == k]
         assert (lo, hi) == (stored.min(), stored.max())
-    # the stored points are the input points
-    by_id = np.argsort(tree.p_id)
-    assert np.array_equal(tree.p_id[by_id], np.arange(n))
-    assert np.array_equal(tree.p_phi[by_id], phi[np.argsort(ids)])
-    assert np.array_equal(tree.p_r[by_id], r[np.argsort(ids)])
+    # the stored points are the input points, and a point's id is its index
+    assert np.array_equal(np.sort(tree.p_id), np.arange(n))
+    assert np.array_equal(tree.p_phi, phi[tree.p_id])
+    assert np.array_equal(tree.p_r, r[tree.p_id])
+    assert np.array_equal(tree.p_b, weight(r)[tree.p_id])
 
 
 def test_duplicate_points_share_one_cell():
@@ -203,10 +202,10 @@ def test_duplicate_points_share_one_cell():
     [leaf] = [lf for lf in tree.leaves() if lf.size]
     assert leaf.size == 40
     assert np.array_equal(tree.leaf_point_ids(leaf), np.arange(40))
-    # a point at the same place that comes first sees all 40
-    assert np.array_equal(query(tree, 1.0, 0.5, -1, 1e-6), np.arange(40))
+    # the first of the copies sees the 39 others
+    assert np.array_equal(query(tree, 0, 1e-6), np.arange(1, 40))
     # queried from its own points, the tree reports each pair once
-    got = tree_pairs(tree, np.full(40, 1.0), np.full(40, 0.5), 1e-6)
+    got = tree_pairs(tree, 1e-6)
     v, w = np.divmod(got, 40)
     assert got.size == 40 * 39 // 2 and np.all(v < w)
 
@@ -232,13 +231,32 @@ def test_duplicate_points_share_one_cell():
 @example(n=300, capacity=1, seed=0, q_phi=0.02, q_r=0.8, radius=1.2)
 @example(n=300, capacity=1, seed=0, q_phi=TWO_PI - 0.02, q_r=0.8, radius=1.2)
 def test_query_equals_linear_scan(n, capacity, seed, q_phi, q_r, radius):
+    # the query point is stored as point n // 2 among n random points
+    rng = np.random.default_rng(seed)
+    phi, r = random_points(rng, n)
+    phi, r = np.insert(phi, n // 2, q_phi), np.insert(r, n // 2, q_r)
+    tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
+    got = query(tree, n // 2, radius)
+    assert np.array_equal(got, brute_after_ids(phi, r, n // 2, radius))
+    # the same tree queried from all of its points finds each pair once
+    assert np.array_equal(tree_pairs(tree, radius), brute_pairs(phi, r, radius))
+
+
+@given(
+    st.integers(0, 300),
+    st.integers(1, 64),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 12.0),
+    st.lists(st.integers(0, 300), max_size=8),
+)
+@settings(max_examples=60, deadline=None)
+def test_any_partition_into_slices_finds_each_pair_once(n, capacity, seed, radius, cuts):
+    # cuts fall anywhere in the storage order, across band boundaries too
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
     tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
-    got = query(tree, q_phi, q_r, n // 2, radius)
-    assert np.array_equal(got, brute_after_ids(phi, r, q_phi, q_r, n // 2, radius))
-    # the same tree queried from its own points finds each pair once
-    assert np.array_equal(tree_pairs(tree, phi, r, radius), brute_pairs(phi, r, radius))
+    cuts = sorted(min(c, n) for c in cuts)
+    assert np.array_equal(tree_pairs(tree, radius, cuts), brute_pairs(phi, r, radius))
 
 
 def test_query_on_boundary_is_excluded():
@@ -247,46 +265,53 @@ def test_query_on_boundary_is_excluded():
     rim, inside = 1.0986122886681096, 1.0986122886681098
     assert not within_distance(0.5, 0.0, weight(0.5), 1.0, rim)
     assert within_distance(0.5, 0.0, weight(0.5), 1.0, inside)
-    tree = PolarQuadtree.build(np.array([0.0]), np.array([0.5]), alpha=1.0, max_r=0.9)
-    assert query(tree, 0.0, 0.0, 1, rim).size == 0
-    assert np.array_equal(query(tree, 0.0, 0.0, 1, inside), [0])
+    # point 1 at the origin queries point 0
+    tree = PolarQuadtree.build(
+        np.array([0.0, 0.0]), np.array([0.5, 0.0]), alpha=1.0, max_r=0.9
+    )
+    assert query(tree, 1, rim).size == 0
+    assert np.array_equal(query(tree, 1, inside), [0])
 
 
 def test_query_many_matches_single_queries():
     rng = np.random.default_rng(11)
     phi, r = random_points(rng, 800)
     tree = PolarQuadtree.build(phi, r, alpha=1.2, max_r=0.98, capacity=32)
-    q_phi = rng.random(50) * TWO_PI
-    q_r = rng.random(50) * 0.9
     radii = rng.uniform(0.1, 8.0, 50)
-    for i in range(50):
-        qidx, ids = tree.query_many(q_phi, q_r, weight(q_r), np.arange(50), radii[i])
-        got = np.sort(ids[qidx == i])
-        assert np.array_equal(got, query(tree, q_phi[i], q_r[i], i, radii[i]))
-        assert np.array_equal(got, brute_after_ids(phi, r, q_phi[i], q_r[i], i, radii[i]))
+    for i, qid in enumerate(rng.choice(800, 50, replace=False)):
+        v, w = tree.query_many(0, len(tree), radii[i])
+        got = np.sort(w[v == qid])
+        assert np.array_equal(got, query(tree, qid, radii[i]))
+        assert np.array_equal(got, brute_after_ids(phi, r, qid, radii[i]))
 
 
-def test_query_many_shape_validation():
-    tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
-    with pytest.raises(ValueError):
-        tree.query_many(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), [0, 1], 0.1)
-    with pytest.raises(ValueError):
-        tree.query_many([0.0, 1.0], [0.1, 0.2], [1.0, 1.0], [0], 0.1)
+def test_query_many_slice_validation():
+    tree = PolarQuadtree.build(
+        np.array([0.1, 0.2]), np.array([0.3, 0.4]), alpha=1.0, max_r=0.9
+    )
+    for lo, hi in ((-1, 1), (1, 0), (0, 3), (3, 3), (2, 1)):
+        with pytest.raises(ValueError):
+            tree.query_many(lo, hi, 0.1)
+    for lo, hi in ((0, 0), (1, 1), (2, 2)):
+        v, w = tree.query_many(lo, hi, 5.0)
+        assert v.size == w.size == 0
 
 
 def test_query_empty_tree_and_zero_radius():
     tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
     assert len(tree) == 0 and tree.height() == 0
-    assert query(tree, 0.0, 0.0, 0, 5.0).size == 0
+    v, w = tree.query_many(0, 0, 5.0)
+    assert v.size == w.size == 0
+    # point 1 and its copy 2 come first, at radius 0.3; point 0 is at 0.31
     tree = PolarQuadtree.build(
-        np.array([0.3]), np.array([0.3]), np.array([7]), alpha=1.0, max_r=0.9
+        np.full(3, 0.3), np.array([0.31, 0.3, 0.3]), alpha=1.0, max_r=0.9
     )
     with pytest.raises(ParameterDomainError):
-        query(tree, 0.3, 0.3, 0, 0.0)
-    assert np.array_equal(query(tree, 0.3, 0.3, 0, 0.1), [7])
+        query(tree, 1, 0.0)
+    assert np.array_equal(query(tree, 1, 0.1), [0, 2])
     # a point does not see itself, nor anything before it
-    assert query(tree, 0.3, 0.3, 7, 0.1).size == 0
-    assert query(tree, 0.3, 0.31, 0, 0.1).size == 0
+    assert np.array_equal(query(tree, 2, 0.1), [0])
+    assert query(tree, 0, 0.1).size == 0
 
 
 # -- introspection -----------------------------------------------------------
