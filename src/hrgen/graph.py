@@ -45,16 +45,21 @@ class Graph:
     def m(self):
         return self.keys.size
 
+    def _split(self, keys):
+        """(u, v) of keys u*n + v: `//` and a multiply-subtract beat `np.divmod`."""
+        u = keys // max(self.n, 1)
+        return u, keys - u * self.n
+
     @cached_property
     def indptr(self):
         """CSR row starts, from the degree of each vertex."""
-        ends = np.concatenate(np.divmod(self.keys, max(self.n, 1)))
+        ends = np.concatenate(self._split(self.keys))
         return np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n))))
 
     @cached_property
     def indices(self):
         """CSR neighbor lists: the keys of both orientations, sorted once."""
-        lo, hi = np.divmod(self.keys, max(self.n, 1))
+        lo, hi = self._split(self.keys)
         both = np.concatenate((self.keys, hi * self.n + lo))
         both.sort()
         return np.remainder(both, max(self.n, 1), out=both)
@@ -74,7 +79,7 @@ class Graph:
     def edge_array(self, start=0, stop=None):
         """Edges start..stop - 1 (all by default) as a 2-column array with
         u < v, sorted lexicographically."""
-        return np.column_stack(np.divmod(self.keys[start:stop], max(self.n, 1)))
+        return np.column_stack(self._split(self.keys[start:stop]))
 
     @classmethod
     def from_edge_arrays(cls, n, u, v=None):
@@ -95,9 +100,10 @@ class Graph:
             if keys.size:
                 if keys.min() < 0 or keys.max() >= n * n:
                     raise ValueError("vertex id outside [0, n)")
+                # u < v  <=>  key = u*n + v > u*(n + 1)
                 for lo in range(0, keys.size, _CHECK_BLOCK):
-                    low, high = np.divmod(keys[lo : lo + _CHECK_BLOCK], n)
-                    if (low >= high).any():
+                    part = keys[lo : lo + _CHECK_BLOCK]
+                    if (part <= part // n * (n + 1)).any():
                         raise ValueError("edge key u * n + v with u >= v")
         else:
             v = np.asarray(v, dtype=np.int64)

@@ -152,6 +152,12 @@ class PolarQuadtree:
         maximum: the leaf grid is fixed, and a leaf holds whatever falls in it.
         The innermost row is split into bands of halving mass until the
         innermost band expects at most one point.
+
+        Each band's points are stored in (angle, id) order, the order of
+        `np.lexsort((phi, band))`, from two cheaper sorts: an unstable
+        argsort of the angles, redone stably only if two angles compare equal
+        (-0.0 and 0.0 do), then a stable radix argsort of the small band
+        index. A single float key band * stride + angle would round angles.
         """
         if not alpha > 0.0:
             raise ValueError("alpha must be positive")
@@ -190,10 +196,15 @@ class PolarQuadtree:
         )
         bounds[0], bounds[-1] = 0.0, max_r
         band = np.searchsorted(bounds[1:-1], r, side="right")
-        # Bands sorted by (angle, id), so that queries cut an angular window
-        # out of a band by binary search. The sort is stable, so equal angles
-        # keep id order and the layout is deterministic.
-        order = np.lexsort((phi, band))
+        # Bands sorted by (angle, id) for the queries' binary searches.
+        order = np.argsort(phi)
+        p_phi = phi[order]
+        if (p_phi[1:] == p_phi[:-1]).any():
+            order = np.argsort(phi, kind="stable")
+            p_phi = phi[order]
+        band_dtype = np.min_scalar_type(bounds.size)
+        by_band = np.argsort(band[order].astype(band_dtype), kind="stable")
+        order = order[by_band]
         band = band[order]
 
         tree = cls.__new__(cls)
@@ -201,7 +212,7 @@ class PolarQuadtree:
         tree.core = core
         tree.band_r = bounds
         tree.band_ptr = np.searchsorted(band, np.arange(bounds.size))
-        tree.p_phi = phi[order]
+        tree.p_phi = p_phi[by_band]
         tree.p_r = r[order]
         tree.p_id = order
         tree.p_x = tree.p_r * np.cos(tree.p_phi)

@@ -16,6 +16,7 @@ from hrgen import (
 )
 
 from hrgen import graphio
+from hrgen.graph import MAX_N
 
 from helpers import write_edgelist_lines, write_metis_lines
 
@@ -164,6 +165,39 @@ def test_metis_format(tmp_path):
     # every edge appears once in each direction
     total = sum(len(l.split()) for l in lines[1:])
     assert total == 2 * g.m
+
+
+@pytest.mark.parametrize("block", [1, 4, graphio._WRITE_BLOCK])
+def test_ten_digit_ids_round_trip(tmp_path, block):
+    # 1- to 10-digit ids, 2**31 - 1 and 2**31 around the int32 limit; the CSR
+    # of this graph would take 24 GB, so nothing here may build it
+    ids = np.array([0, 9, 10, 2**31 - 1, 2**31, MAX_N - 1])
+    u, v = np.triu_indices(ids.size, k=1)
+    g = Graph.from_edge_arrays(MAX_N, ids[u], ids[v])
+    header = EdgeListHeader(n=MAX_N, m=g.m, seed=7, radius=80.5, alpha=0.75)
+    with mock.patch.object(graphio, "_WRITE_BLOCK", block):
+        write_edgelist(g, tmp_path / "a", header)
+    write_edgelist_lines(g, tmp_path / "b", header)
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+    assert b" 3037000498\n" in (tmp_path / "a").read_bytes()
+    back, h_back = read_edgelist(tmp_path / "a")
+    assert h_back == header and back == g
+    for graph in (g, back):
+        assert "indptr" not in vars(graph) and "indices" not in vars(graph)
+
+
+@pytest.mark.parametrize("block", [5, graphio._WRITE_BLOCK])
+def test_metis_digit_counts_change_inside_a_block(tmp_path, block):
+    # 1-based ids 1-150 cross from 1 to 2 and from 2 to 3 digits, and
+    # isolated vertices write empty lines, inside one block
+    rng = np.random.default_rng(4)
+    u, v = np.nonzero(np.triu(rng.random((150, 150)) < 0.03, k=1))
+    g = Graph.from_edge_arrays(150, u, v)
+    assert (g.degrees() == 0).any() and g.indices.max() + 1 >= 100
+    with mock.patch.object(graphio, "_WRITE_BLOCK", block):
+        write_metis(g, tmp_path / "a")
+    write_metis_lines(g, tmp_path / "b")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
 
 @pytest.mark.parametrize("dn, dm", [(1, 1), (1, 0), (0, 1), (-1, 0)])

@@ -194,6 +194,45 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     assert np.array_equal(tree.p_b, weight(r)[tree.p_id])
 
 
+def _coarse_points(rng, n):
+    """Few distinct coordinates: angle ties inside bands and across them."""
+    return rng.integers(0, 12, n) * (TWO_PI / 12), rng.integers(0, 9, n) * 0.1
+
+
+@pytest.mark.parametrize(
+    "case, ties",
+    [
+        ("random", False),
+        ("coarse", True),
+        ("duplicates", True),
+        ("signed zeros", True),
+        ("empty", False),
+        ("single", False),
+    ],
+)
+@pytest.mark.parametrize("capacity", [1, 8, 128])
+def test_build_order_equals_lexsort_oracle(case, ties, capacity):
+    rng = np.random.default_rng(capacity)
+    phi, r = {
+        "random": lambda: random_points(rng, 3000),
+        "coarse": lambda: _coarse_points(rng, 3000),
+        "duplicates": lambda: (np.full(40, 1.0), np.full(40, 0.5)),
+        # -0.0 compares equal to 0.0, so it is a tie that keeps id order
+        "signed zeros": lambda: (
+            np.tile([0.0, -0.0, 1.5, -0.0, 0.0], 30),
+            np.repeat(np.linspace(0.0, 0.9, 30), 5),
+        ),
+        "empty": lambda: (np.zeros(0), np.zeros(0)),
+        "single": lambda: (np.array([2.0]), np.array([0.3])),
+    }[case]()
+    sorted_phi = np.sort(phi)
+    assert bool((sorted_phi[1:] == sorted_phi[:-1]).any()) == ties
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=capacity)
+    band = np.searchsorted(tree.band_r[1:-1], r, side="right")
+    assert np.array_equal(tree.p_id, np.lexsort((phi, band)))
+    assert np.array_equal(tree.p_phi, phi[tree.p_id])
+
+
 def test_duplicate_points_share_one_cell():
     tree = PolarQuadtree.build(
         np.full(40, 1.0), np.full(40, 0.5), alpha=1.0, max_r=0.9, capacity=1
