@@ -8,8 +8,8 @@ which yields a power-law degree distribution with exponent 2*alpha + 1.
 `generate` works in the Poincare disk: the hyperbolic neighborhood ball of
 each vertex is an ordinary Euclidean circle there, so the edge set comes out
 of range queries against a polar quadtree instead of all-pairs distance
-tests. Each vertex asks only for the vertices after it in (radius, id)
-order, so every edge is found once. `generate_brute_force` is the quadratic
+tests. Each vertex asks only for the vertices stored after it in the
+tree, so every edge is found once. `generate_brute_force` is the quadratic
 reference implementation used to validate it. Both decide every pair with
 `geometry.within_distance`, on the same coordinates and weights.
 
@@ -57,12 +57,13 @@ _EDGE_CHUNK = 16384
 
 # Expected points per leaf of the generator's tree, which sets the height of
 # its leaf grid. The edge set is the same for every capacity. Fewer rows
-# leave more of the halving-mass core bands, which suit the outward query: a
-# vertex near the rim looks at the outer row alone. One run each of the edge
-# phase (k = 16, gamma = 3, 2-core box) at capacities 512 / 2048 / 8192 /
-# 32768 / 131072: n = 10^5 0.44 / 0.28 / 0.21 / 0.18 / 0.19 s, n = 3*10^5
-# 1.70 / 1.17 / 0.85 / 0.64 / 0.61 s, n = 10^6 10.5 / 7.1 / 4.8 / 4.1 /
-# 3.1 s. Up to n = 4 * 131072 the bands are the halving-mass sequence alone.
+# leave more of the halving-mass core bands, which suit a query of the own
+# and outer bands: a vertex near the rim looks at the outer row alone. One
+# run each of the edge phase (k = 16, gamma = 3, 2-core box) at capacities
+# 512 / 2048 / 8192 / 32768 / 131072: n = 10^5 0.44 / 0.28 / 0.21 / 0.18 /
+# 0.19 s, n = 3*10^5 1.70 / 1.17 / 0.85 / 0.64 / 0.61 s, n = 10^6 10.5 / 7.1
+# / 4.8 / 4.1 / 3.1 s. Up to n = 4 * 131072 the bands are the halving-mass
+# sequence alone.
 _LEAF_CAPACITY = 131072
 
 # Entropy tag separating the long-range edge stream from the coordinate
@@ -189,17 +190,12 @@ def sample_points(n, alpha, radius, seed) -> VertexCoordinates:
 
 def _edge_keys(tree, n, radius, lo, hi):
     """Keys min(v, w) * n + max(v, w) of the edges (v, w) with v among the
-    stored points lo..hi-1 and w after v in (radius, id) order, formed in the
-    query's own id buffers: new arrays for them would be paged in afresh for
-    every block."""
+    stored points lo..hi-1 and w stored after v (the max overwrites w)."""
     v, w = tree.query_many(lo, hi, radius)
-    # min * n + max = v * (n + 1) + (w - v) * (n if w < v else 1); no term
-    # leaves int64 while n <= graph.MAX_N.
-    w -= v
-    np.multiply(w, n, out=w, where=w < 0)
-    v *= n + 1
-    v += w
-    return v
+    key = np.minimum(v, w)
+    key *= n
+    key += np.maximum(v, w, out=w)
+    return key
 
 
 def _query_edge_keys(tree, n, radius, threads):

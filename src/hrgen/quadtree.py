@@ -17,17 +17,17 @@ whole core of the disk, is split further into bands of halving mass: radii
 in geometric progression, as in von Looz et al.'s band generator. A coarse
 grid (few rows, many core bands) suits the query below.
 
-A query asks, for each stored point v of a slice of the storage order,
-which stored points w come after v in (Poincare radius, id) order and lie
-within hyperbolic distance R of it. Both ends are read from the same stored
-arrays. Over slices that cover the tree, that finds each edge once, from its
-endpoint nearer the origin, and only bands at or outside v's radius need a
-look. Each such band is dropped when its stored radii miss the Euclidean
-circle that holds v's hyperbolic ball, and otherwise the angular window
-that can hold hits is cut out of the band's angle-sorted points by binary
-search. The circle, the window and their pads only bound the candidates:
-one predicate, symmetric bit for bit in v and w (`within_distance`),
-decides every edge.
+A query asks, for each stored point v of a slice of the storage order, which
+points stored after v lie within hyperbolic distance R of it, reading both
+ends from the same stored arrays. Over slices that cover the tree, that
+finds each edge once, from its endpoint stored first, in v's own band and
+the bands outside it. In the own band the candidates start right after v,
+plus the band's tail where v's angular window crosses 0; the window spans
+all the band's radii, as a neighbour there can lie nearer the origin. An
+outer band is skipped when its radii miss the Euclidean circle that holds
+v's ball, and otherwise gives the points of the circle's angular window. The
+circle, the window and their pads only bound the candidates: one predicate,
+symmetric bit for bit in v and w (`within_distance`), decides every edge.
 """
 
 from __future__ import annotations
@@ -46,18 +46,19 @@ from .geometry import (
     to_poincare_radius,
     within_distance,
 )
-from .nputil import multi_arange
 
 DEFAULT_LEAF_CAPACITY = 128
 
-# A band is dropped for a circle only when its stored radii miss the
-# circle's radial extent by more than this. Coordinates live in [-1, 1]; the
-# pad sits orders above their rounding, so rounding can only keep a band.
-# The circle takes the query's weight as 1 - r^2 of its Poincare radius,
-# which near the rim differs from the predicate's weight by up to 1e-16 /
-# (1 - r) relatively. At points no nearer the origin than the query, the
-# only ones it is asked about, that moves the circle's boundary by at most
-# about 1e-16 over the circle's radius; both pads cover it.
+# A band is dropped for a circle only when its stored radii miss the circle's
+# radial extent by more than this. Coordinates live in [-1, 1]; the pad sits
+# orders above their rounding, so rounding can only keep a band. The circle
+# takes the query's weight as 1 - r^2 of its Poincare radius, which near the
+# rim differs from the predicate's weight by up to 1e-16 / (1 - r) relatively.
+# At points no nearer the origin than the query that moves the circle's
+# boundary by at most about 1e-16 over the circle's radius; at own-band points
+# nearer the origin, by the root of the band's weight ratio more, which is at
+# most about 2^(1/alpha) < 4 outside the innermost band (one point expected).
+# Both pads cover it.
 _RADIAL_PAD = 1e-9
 
 # Angular candidate windows are widened by this much (radians) so that the
@@ -77,10 +78,10 @@ _TINY = np.finfo(np.float64).tiny
 
 # Band scans materialize one candidate row per (query, point) pair; pairs are
 # consumed in blocks of at most this many candidates (plus one window). About
-# ten arrays of 8 bytes per candidate are alive in a block, about 5 MB per
-# querying thread; the hits kept from it add 16 bytes each. Larger blocks
-# leave arrays that glibc maps and unmaps, or trims, per block: at 2^18 the
-# query of n = 10^5, k = 64, gamma = 2.2 took 71 k minor page faults, at
+# ten arrays of 8 bytes per candidate (a complex one counts twice), about 5 MB
+# per querying thread, are alive in a block; hits add 16 bytes each. Larger
+# blocks leave arrays that glibc maps and unmaps, or trims, per block: at 2^18
+# the query of n = 10^5, k = 64, gamma = 2.2 took 71 k minor page faults, at
 # 2^16 20 k, and 0.54-0.66 s against 0.38-0.43 s (one thread, 2-core box).
 _SCAN_BLOCK = 1 << 16
 
@@ -135,9 +136,9 @@ class PolarQuadtree:
     of them actually stores.
 
     Per-point arrays, each band's slice sorted by (angle, id): `p_phi`,
-    `p_r`, `p_id`, Cartesian `p_x`/`p_y`, the weight `p_b` = 1 - `p_r`^2
-    that the edge predicate reads, and `p_key`, which is the point's band
-    times a fixed stride plus its angle and ascends over the whole array.
+    `p_r`, `p_id`, Cartesian `p_z` = `p_x` + i`p_y` (views), the weight
+    `p_b` = 1 - `p_r`^2 that the edge predicate reads, and `p_key`, the
+    band times a fixed stride plus the angle, which ascends throughout.
     """
 
     @classmethod
@@ -215,8 +216,10 @@ class PolarQuadtree:
         tree.p_phi = p_phi[by_band]
         tree.p_r = r[order]
         tree.p_id = order
-        tree.p_x = tree.p_r * np.cos(tree.p_phi)
-        tree.p_y = tree.p_r * np.sin(tree.p_phi)
+        tree.p_z = np.empty(phi.size, dtype=np.complex128)  # one gather for x, y
+        tree.p_x, tree.p_y = tree.p_z.real, tree.p_z.imag
+        np.multiply(tree.p_r, np.cos(tree.p_phi), out=tree.p_x)
+        np.multiply(tree.p_r, np.sin(tree.p_phi), out=tree.p_y)
         tree.p_b = b[order]
         tree.p_key = band * _BAND_STRIDE + tree.p_phi
 
@@ -241,42 +244,47 @@ class PolarQuadtree:
 
         Returns (v_ids, w_ids) pair arrays, not sorted: for each stored point
         v of the slice, the ids of the stored points w that come after v in
-        (Poincare radius, id) order and that `within_distance` puts at
-        hyperbolic distance below `radius` from v. Both ends of a pair are
+        the storage order (band, angle, id) and that `within_distance` puts
+        at hyperbolic distance below `radius` from v. Both ends of a pair are
         read from the same stored arrays, so the predicate sees the same bits
         from either end. Queried over slices that cover the whole tree, it
-        reports every edge once, from its endpoint that comes first.
-
-        Bands whose stored radii all lie below v's are skipped, and so are
-        bands whose radii miss the circle that holds v's ball. In every other
-        band the points of the circle's angular window are candidates, and
-        the predicate alone decides which of them are reported.
+        reports every edge once, from its endpoint stored first.
         """
         if not 0 <= lo <= hi <= len(self):
             raise ValueError("need 0 <= lo <= hi <= len(tree)")
-        q_phi, q_r, q_b = self.p_phi[lo:hi], self.p_r[lo:hi], self.p_b[lo:hi]
-        q_x, q_y, q_id = self.p_x[lo:hi], self.p_y[lo:hi], self.p_id[lo:hi]
-        c_r, rad = circle_params(q_r, radius)
-        rad_sq = rad * rad
+        pairs = [(np.empty(0, dtype=np.int64),) * 2]
+        ends = self.band_ptr[self.bands + 1]
+        while lo < hi:
+            j = int(np.searchsorted(ends, lo, side="right"))
+            end = min(hi, int(ends[j]))
+            pairs += self._band_pairs(j, lo, end, radius)
+            lo = end
+        v, w = zip(*pairs)
+        return np.concatenate(v), np.concatenate(w)
 
-        # Keep the (query, band) pairs whose band reaches out to v's radius
-        # and in to the circle's outer edge. Queries come in storage order,
-        # band by band and within a band by angle, so pairs run band by band
-        # and consecutive windows search and scan nearby keys.
+    def _band_pairs(self, j, lo, hi, radius):
+        """`query_many`'s pairs for stored points lo..hi-1 of band j, by block."""
+        m = hi - lo
+        q_b, q_z, q_id = self.p_b[lo:hi], self.p_z[lo:hi], self.p_id[lo:hi]
+        c_r, rad = circle_params(self.p_r[lo:hi], radius)
+
+        # (query, band) pairs: the own band, then each outer band that reaches
+        # in to the circle's outer edge. Queries come by angle, so pairs run
+        # band by band and consecutive windows search and scan nearby keys.
         outer = c_r + rad + _RADIAL_PAD
-        near = (self.band_rmax[:, None] >= q_r) & (self.band_rmin[:, None] <= outer)
-        k, lq = np.nonzero(near)
+        k, lq = np.nonzero(self.band_rmin[j + 1 :, None] <= outer)
+        k = np.concatenate((np.full(m, j), k + (j + 1)))
+        lq = np.concatenate((np.arange(m), lq))
 
         # A stored point at origin distance p and angular offset d from the
         # circle center lies inside iff
         #   cos d > (p^2 + c^2 - rad^2) / (2 p c).
-        # Minimizing the right side over the radii [r1, r2] a candidate can
-        # have (endpoints plus the stationary point sqrt(c^2-rad^2)) bounds
-        # the offset of any candidate. No candidate lies below v's radius.
-        r1 = np.maximum(self.band_rmin[k], q_r[lq])
-        r2 = self.band_rmax[k]
+        # Minimizing the right side over the band's stored radii [r1, r2],
+        # endpoints plus the stationary point sqrt(c^2-rad^2), bounds the
+        # offset of any candidate, nearer the origin than v too.
+        r1, r2 = self.band_rmin[k], self.band_rmax[k]
         c = c_r[lq]
-        diff = c * c - rad_sq[lq]
+        diff = c * c - (rad * rad)[lq]
         cos_lim = np.minimum(_cos_bound(r1, c, diff), _cos_bound(r2, c, diff))
         interior = (diff > 0.0) & (r1 * r1 <= diff) & (diff <= r2 * r2)
         if interior.any():
@@ -286,11 +294,13 @@ class PolarQuadtree:
 
         # Within a pad of a half turn the window is the whole band; below it a
         # window crossing 0/2pi splits into two pieces that stay apart by far
-        # more than key rounding, so no point is found twice.
+        # more than key rounding, so no point is found twice. In the own band
+        # it starts right after v, and its piece past 2pi is stored before v.
         whole = delta >= math.pi - _WINDOW_PAD
-        mid = q_phi[lq]
+        mid = self.p_phi[lo:hi][lq]
         left = np.where(whole, 0.0, mid - delta)
         right = np.where(whole, TWO_PI, mid + delta)
+        right[:m] = np.minimum(right[:m], TWO_PI)
         wrap = np.flatnonzero((left < 0.0) | (right > TWO_PI))
         below = left[wrap] < 0.0
         left = np.concatenate(
@@ -302,33 +312,27 @@ class PolarQuadtree:
         base = self.bands[np.concatenate((k, k[wrap]))] * _BAND_STRIDE
         lq = np.concatenate((lq, lq[wrap]))
         # Keys round by far less than the window pad.
-        ws = np.searchsorted(self.p_key, base + left)
+        ws = np.searchsorted(self.p_key, base[m:] + left[m:])
+        ws = np.concatenate((np.arange(lo + 1, hi + 1), ws))
         we = np.searchsorted(self.p_key, base + right, side="right")
 
-        out_v, out_w = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        cum = np.cumsum(we - ws)
-        if cum.size and cum[-1]:
-            cuts = np.searchsorted(
-                cum, np.arange(_SCAN_BLOCK, int(cum[-1]), _SCAN_BLOCK), side="left"
+        # Candidate positions: each window's start, repeated, plus a count.
+        size = we - ws
+        cum = np.cumsum(size)
+        cuts = np.searchsorted(cum, np.arange(_SCAN_BLOCK, int(cum[-1]), _SCAN_BLOCK))
+        first = 0
+        for off, sz, lqb in zip(
+            np.split(ws - (cum - size), cuts), np.split(size, cuts), np.split(lq, cuts)
+        ):
+            pidx = np.repeat(off, sz)
+            pidx += np.arange(first, first + pidx.size)
+            first += pidx.size
+            prep = np.repeat(lqb, sz)
+            d = self.p_z[pidx] - q_z[prep]
+            hit = np.flatnonzero(
+                within_distance(d.real, d.imag, self.p_b[pidx], q_b[prep], radius)
             )
-            for ls, le, lqb in zip(
-                np.split(ws, cuts), np.split(we, cuts), np.split(lq, cuts)
-            ):
-                pidx = multi_arange(ls, le)
-                prep = np.repeat(lqb, le - ls)
-                p_r, v_r = self.p_r[pidx], q_r[prep]
-                p_id, v_id = self.p_id[pidx], q_id[prep]
-                after = (p_r > v_r) | ((p_r == v_r) & (p_id > v_id))
-                hit = after & within_distance(
-                    self.p_x[pidx] - q_x[prep],
-                    self.p_y[pidx] - q_y[prep],
-                    self.p_b[pidx],
-                    q_b[prep],
-                    radius,
-                )
-                out_v.append(v_id[hit])
-                out_w.append(p_id[hit])
-        return np.concatenate(out_v), np.concatenate(out_w)
+            yield q_id[prep[hit]], self.p_id[pidx[hit]]
 
     # -- introspection ------------------------------------------------------
 

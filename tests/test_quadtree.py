@@ -6,10 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrgen import (
+    GeneratorParams,
     OutOfBoundsError,
     ParameterDomainError,
     PolarQuadtree,
+    sample_points,
+    to_poincare_radius,
 )
+from hrgen.generator import _LEAF_CAPACITY
 from hrgen.geometry import TWO_PI, within_distance
 from hrgen.quadtree import band_boundaries
 
@@ -26,22 +30,35 @@ def query(tree, qid, radius):
     return np.sort(w)
 
 
-def brute_after_ids(phi, r, qid, radius):
-    """Points after point `qid` in (radius, id) order that the predicate
-    accepts, by a linear scan."""
-    ids = np.arange(phi.size)
-    after = (r > r[qid]) | ((r == r[qid]) & (ids > qid))
+def band_of(tree, r):
+    return np.searchsorted(tree.band_r[1:-1], r, side="right")
+
+
+def storage_rank(tree, phi, r):
+    """Position of every point in the storage order (band, angle, id), from
+    the tree's band radii alone."""
+    rank = np.empty(phi.size, dtype=np.int64)
+    rank[np.lexsort((phi, band_of(tree, r)))] = np.arange(phi.size)
+    return rank
+
+
+def brute_after_ids(tree, phi, r, qid, radius):
+    """Points stored after point `qid` that the predicate accepts, by a
+    linear scan."""
+    rank = storage_rank(tree, phi, r)
+    after = rank > rank[qid]
     x, y = r * np.cos(phi), r * np.sin(phi)
     close = within_distance(x - x[qid], y - y[qid], weight(r), weight(r[qid]), radius)
     return np.flatnonzero(after & close)
 
 
-def brute_pairs(phi, r, radius):
-    """Sorted keys v * n + w of every pair v, w with w after v in (radius,
-    id) order that the predicate accepts."""
+def brute_pairs(tree, phi, r, radius):
+    """Sorted keys v * n + w of every pair v, w with w stored after v that
+    the predicate accepts."""
     n = phi.size
+    rank = storage_rank(tree, phi, r)
     v, w = np.nonzero(np.ones((n, n), dtype=bool))
-    after = (r[w] > r[v]) | ((r[w] == r[v]) & (w > v))
+    after = rank[w] > rank[v]
     x, y = r * np.cos(phi), r * np.sin(phi)
     close = within_distance(x[w] - x[v], y[w] - y[v], weight(r[w]), weight(r[v]), radius)
     keep = after & close
@@ -51,14 +68,17 @@ def brute_pairs(phi, r, radius):
 def tree_pairs(tree, radius, cuts=()):
     """Sorted keys v * n + w of the pairs the tree reports when it is
     queried from each of its points, in the slices that `cuts` (sorted
-    positions in the storage order) divide it into."""
+    positions in the storage order) divide it into. Checks that no pair
+    comes twice and that v is stored before w."""
     n = len(tree)
     bounds = [0, *cuts, n]
-    keys = [
-        v * n + w
-        for v, w in (tree.query_many(a, b, radius) for a, b in zip(bounds, bounds[1:]))
-    ]
-    return np.sort(np.concatenate(keys))
+    slices = [tree.query_many(a, b, radius) for a, b in zip(bounds, bounds[1:])]
+    v, w = (np.concatenate(ends) for ends in zip(*slices))
+    position = np.argsort(tree.p_id)
+    assert np.all(position[v] < position[w])
+    keys = np.sort(v * n + w)
+    assert np.all(np.diff(keys) > 0)
+    return keys
 
 
 def random_points(rng, n, max_r=0.98):
@@ -276,9 +296,9 @@ def test_query_equals_linear_scan(n, capacity, seed, q_phi, q_r, radius):
     phi, r = np.insert(phi, n // 2, q_phi), np.insert(r, n // 2, q_r)
     tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
     got = query(tree, n // 2, radius)
-    assert np.array_equal(got, brute_after_ids(phi, r, n // 2, radius))
+    assert np.array_equal(got, brute_after_ids(tree, phi, r, n // 2, radius))
     # the same tree queried from all of its points finds each pair once
-    assert np.array_equal(tree_pairs(tree, radius), brute_pairs(phi, r, radius))
+    assert np.array_equal(tree_pairs(tree, radius), brute_pairs(tree, phi, r, radius))
 
 
 @given(
@@ -295,7 +315,9 @@ def test_any_partition_into_slices_finds_each_pair_once(n, capacity, seed, radiu
     phi, r = random_points(rng, n)
     tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
     cuts = sorted(min(c, n) for c in cuts)
-    assert np.array_equal(tree_pairs(tree, radius, cuts), brute_pairs(phi, r, radius))
+    assert np.array_equal(
+        tree_pairs(tree, radius, cuts), brute_pairs(tree, phi, r, radius)
+    )
 
 
 def test_query_on_boundary_is_excluded():
@@ -304,12 +326,15 @@ def test_query_on_boundary_is_excluded():
     rim, inside = 1.0986122886681096, 1.0986122886681098
     assert not within_distance(0.5, 0.0, weight(0.5), 1.0, rim)
     assert within_distance(0.5, 0.0, weight(0.5), 1.0, inside)
-    # point 1 at the origin queries point 0
+    # both points lie in the innermost band at angle 0, so point 0 is stored
+    # first and queries point 1, at the origin
     tree = PolarQuadtree.build(
         np.array([0.0, 0.0]), np.array([0.5, 0.0]), alpha=1.0, max_r=0.9
     )
-    assert query(tree, 1, rim).size == 0
-    assert np.array_equal(query(tree, 1, inside), [0])
+    assert tree.bands.size == 1
+    assert query(tree, 0, rim).size == 0
+    assert np.array_equal(query(tree, 0, inside), [1])
+    assert query(tree, 1, inside).size == 0
 
 
 def test_query_many_matches_single_queries():
@@ -321,7 +346,7 @@ def test_query_many_matches_single_queries():
         v, w = tree.query_many(0, len(tree), radii[i])
         got = np.sort(w[v == qid])
         assert np.array_equal(got, query(tree, qid, radii[i]))
-        assert np.array_equal(got, brute_after_ids(phi, r, qid, radii[i]))
+        assert np.array_equal(got, brute_after_ids(tree, phi, r, qid, radii[i]))
 
 
 def test_query_many_slice_validation():
@@ -341,16 +366,111 @@ def test_query_empty_tree_and_zero_radius():
     assert len(tree) == 0 and tree.height() == 0
     v, w = tree.query_many(0, 0, 5.0)
     assert v.size == w.size == 0
-    # point 1 and its copy 2 come first, at radius 0.3; point 0 is at 0.31
+    # three points at one angle in one band are stored by id: point 0 at
+    # radius 0.31 comes first, then point 1 and its copy 2 at 0.3
     tree = PolarQuadtree.build(
         np.full(3, 0.3), np.array([0.31, 0.3, 0.3]), alpha=1.0, max_r=0.9
     )
+    assert np.array_equal(tree.p_id, [0, 1, 2])
     with pytest.raises(ParameterDomainError):
         query(tree, 1, 0.0)
-    assert np.array_equal(query(tree, 1, 0.1), [0, 2])
-    # a point does not see itself, nor anything before it
-    assert np.array_equal(query(tree, 2, 0.1), [0])
-    assert query(tree, 0, 0.1).size == 0
+    assert np.array_equal(query(tree, 0, 0.1), [1, 2])
+    # a point does not see itself, nor anything stored before it
+    assert np.array_equal(query(tree, 1, 0.1), [2])
+    assert query(tree, 2, 0.1).size == 0
+
+
+# -- the own band: every point stored after v, nearer the origin too --------
+
+
+@pytest.mark.parametrize("gamma, dr", [(3.0, 0.3), (2.2, 0.6), (3.0, 0.05)])
+def test_same_band_neighbour_nearer_the_origin(gamma, dr):
+    # the generator's points and bands, plus v near the rim and w further in,
+    # in the same band: w is stored after v at hyperbolic distance just
+    # below R, at an angle beyond what v's own radius would allow
+    n = 1000
+    model = GeneratorParams(n=n, avg_degree=16.0, gamma=gamma).resolve()
+    coords = sample_points(n, model.alpha, model.R, 3)
+    r_v, r_w = to_poincare_radius(np.array([model.R - 0.05, model.R - 0.05 - dr]))
+
+    def close(theta):
+        dx = r_w * np.cos(1.0 + theta) - r_v * np.cos(1.0)
+        dy = r_w * np.sin(1.0 + theta) - r_v * np.sin(1.0)
+        return within_distance(dx, dy, weight(r_w), weight(r_v), model.R)
+
+    inside, outside = 0.0, 1.0
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        inside, outside = (mid, outside) if close(mid) else (inside, mid)
+    assert close(inside) and not close(outside)
+    phi = np.concatenate((coords.phi, [1.0, 1.0 + inside, 1.0 + outside]))
+    r = np.concatenate((coords.r_poincare, [r_v, r_w, r_w]))
+    tree = PolarQuadtree.build(
+        phi,
+        r,
+        alpha=model.alpha,
+        max_r=to_poincare_radius(model.R),
+        capacity=_LEAF_CAPACITY,
+    )
+    assert np.unique(band_of(tree, r[n:])).size == 1
+    got = query(tree, n, model.R)
+    assert n + 1 in got and n + 2 not in got
+    assert np.array_equal(got, brute_after_ids(tree, phi, r, n, model.R))
+    assert n not in query(tree, n + 1, model.R)
+    assert np.array_equal(
+        tree_pairs(tree, model.R), brute_pairs(tree, phi, r, model.R)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_own_band_windows_across_the_seam(seed):
+    # points within 0.3 of phi = 0 on either side, at radii that share few
+    # bands: pairs across the seam inside one band are found from the point
+    # just above 0, in the band's tail, and from nowhere else
+    rng = np.random.default_rng(seed)
+    # a tiny negative angle mod 2pi rounds to 2pi; the second mod makes it 0
+    phi = (rng.uniform(-0.3, 0.3, 300) % TWO_PI) % TWO_PI
+    r = rng.uniform(0.6, 0.9, 300)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=1000)
+    radius = 2.5
+    got = tree_pairs(tree, radius)
+    assert np.array_equal(got, brute_pairs(tree, phi, r, radius))
+    v, w = np.divmod(got, 300)
+    same_band = band_of(tree, r[v]) == band_of(tree, r[w])
+    assert np.sum(same_band & (phi[v] < 0.3) & (phi[w] > TWO_PI - 0.3)) > 10
+
+
+def test_equal_angles_inside_one_band():
+    # rays of points at one angle, radii in no particular id order, one of
+    # them on the seam; -0.0 and 0.0 are one angle
+    rng = np.random.default_rng(4)
+    phi = np.repeat([0.0, -0.0, 1.0, 1.0 + 1e-9, TWO_PI - 1e-9], 40)
+    r = rng.uniform(0.5, 0.9, phi.size)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=4096)
+    for radius in (0.5, 2.0, 4.0):
+        want = brute_pairs(tree, phi, r, radius)
+        assert np.array_equal(tree_pairs(tree, radius), want)
+    for qid in np.flatnonzero(phi == 1.0)[::7]:
+        want = brute_after_ids(tree, phi, r, qid, 2.0)
+        assert np.array_equal(query(tree, qid, 2.0), want)
+
+
+def test_whole_windows_from_a_hub_at_the_origin():
+    # the hub's circle holds the whole disk, so its windows are whole bands;
+    # in its own band it sees only the points stored after it
+    rng = np.random.default_rng(8)
+    phi, r = random_points(rng, 400)
+    phi = np.concatenate((phi, rng.uniform(0.0, TWO_PI, 6), [3.0]))
+    r = np.concatenate((r, np.full(6, 1e-4), [0.0]))
+    hub = phi.size - 1
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=1)
+    own = band_of(tree, r) == band_of(tree, r[hub])
+    assert (phi[own] < 3.0).any() and (phi[own] > 3.0).any()
+    rank = storage_rank(tree, phi, r)
+    got = query(tree, hub, 30.0)
+    assert np.array_equal(got, np.flatnonzero(rank > rank[hub]))
+    for radius in (30.0, 3.0):
+        want = brute_pairs(tree, phi, r, radius)
+        assert np.array_equal(tree_pairs(tree, radius), want)
 
 
 # -- introspection -----------------------------------------------------------
