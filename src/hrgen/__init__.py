@@ -32,15 +32,9 @@ from .generator import (
     sample_points,
 )
 from .geometry import (
-    EuclideanCircle,
     ModelParams,
-    NativePoint,
-    PoincarePoint,
     alpha_from_gamma,
     expected_avg_degree,
-    hyperbolic_circle_to_euclidean,
-    normalize_angle,
-    poincare_distance,
     radial_inverse_cdf,
     target_radius,
     to_native_radius,
@@ -55,17 +49,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalysisReport",
     "EdgeListHeader",
-    "EuclideanCircle",
     "GenerationStats",
     "GeneratorParams",
     "Graph",
     "InfeasibleParametersError",
     "InsufficientDataError",
     "ModelParams",
-    "NativePoint",
     "OutOfBoundsError",
     "ParameterDomainError",
-    "PoincarePoint",
     "PolarQuadtree",
     "VertexCoordinates",
     "add_long_range_edges",
@@ -81,11 +72,8 @@ __all__ = [
     "generate_brute_force",
     "generate_with_stats",
     "global_clustering",
-    "hyperbolic_circle_to_euclidean",
     "local_clustering",
     "mean_local_clustering",
-    "normalize_angle",
-    "poincare_distance",
     "power_law_exponent",
     "radial_inverse_cdf",
     "read_edgelist",

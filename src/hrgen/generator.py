@@ -55,17 +55,6 @@ from .quadtree import PolarQuadtree
 # --threads value.
 _EDGE_CHUNK = 16384
 
-# Expected points per leaf of the generator's tree, which sets the height of
-# its leaf grid. The edge set is the same for every capacity. Fewer rows
-# leave more of the halving-mass core bands, which suit a query of the own
-# and outer bands: a vertex near the rim looks at the outer row alone. One
-# run each of the edge phase (k = 16, gamma = 3, 2-core box) at capacities
-# 512 / 2048 / 8192 / 32768 / 131072: n = 10^5 0.44 / 0.28 / 0.21 / 0.18 /
-# 0.19 s, n = 3*10^5 1.70 / 1.17 / 0.85 / 0.64 / 0.61 s, n = 10^6 10.5 / 7.1
-# / 4.8 / 4.1 / 3.1 s. Up to n = 4 * 131072 the bands are the halving-mass
-# sequence alone.
-_LEAF_CAPACITY = 131072
-
 # Entropy tag separating the long-range edge stream from the coordinate
 # stream when both derive from the same user seed.
 _LONG_RANGE_STREAM = 1
@@ -231,7 +220,7 @@ def generate_with_stats(params: GeneratorParams):
         coords.r_poincare,
         alpha=model.alpha,
         max_r=to_poincare_radius(model.R),
-        capacity=_LEAF_CAPACITY,
+        capacity=n,  # height 0: every band is a halving-mass core band
         b=disk_weight(coords.r_native),
     )
     del coords
@@ -330,11 +319,13 @@ def add_long_range_edges(graph: Graph, fraction, seed) -> Graph:
         # accumulate: draw 1/8 more, in batches of at most 16 MB of pairs.
         size = min((k - found.size) * n * n * 9 // (16 * absent) + 64, 1 << 20)
         pairs = rng.integers(0, n, size=(size, 2))
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        lo, hi = np.minimum(*pairs.T), np.maximum(*pairs.T)
         stream = np.concatenate((found, (lo * n + hi)[lo != hi]))
         # Distinct pairs at their first position; sorted lookups stay local.
         uniq, first = np.unique(stream, return_index=True)
-        at = np.minimum(np.searchsorted(keys, uniq), keys.size - 1)
-        found = stream[np.sort(first[keys[at] != uniq])][:k]
-    new = np.sort(found)
-    return Graph(n=n, keys=np.insert(keys, np.searchsorted(keys, new), new))
+        at = np.searchsorted(keys, uniq)
+        pick = np.flatnonzero(keys[np.minimum(at, keys.size - 1)] != uniq)
+        pick = pick[np.argsort(first[pick])[:k]]  # the first k absent pairs
+        found = uniq[pick]
+    pick.sort()  # the last lookup placed every new key
+    return Graph(n=n, keys=np.insert(keys, at[pick], uniq[pick]))

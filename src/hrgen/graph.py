@@ -6,11 +6,10 @@ Construction rejects self-loops and parallel edges. The CSR view, in which
 `indices[indptr[v]:indptr[v+1]]` is the sorted neighbor list of v, is derived
 from the keys on first use and then kept; writing an edge list never needs it.
 
-Memory: 8 bytes per edge for the keys. Building from keys sorts them in place
-and checks them with temporaries of one byte per edge plus one block of
-`_CHECK_BLOCK` keys; building from endpoint pairs adds the 16 bytes per edge
-of the pairs. The CSR view, when built, adds 16 bytes per edge and 8 per
-vertex.
+Memory: 8 bytes per edge for the keys, sorted in place unless they ascend and
+checked with one byte per edge plus one block of `_CHECK_BLOCK` keys; endpoint
+pairs add their 16 bytes per edge. The CSR view adds 8 bytes per edge (int32
+ids below n = 2**31) and 8 per vertex, placed by counting, not by a sort.
 """
 
 from __future__ import annotations
@@ -22,8 +21,38 @@ import numpy as np
 
 MAX_N = 3_037_000_499  # largest n whose keys, up to n*n - 1, fit in int64
 
-# Keys given directly are decoded for checking in blocks of this many.
+# Keys are decoded, for checks and for the CSR view, in blocks of this many.
 _CHECK_BLOCK = 1 << 20
+
+
+def index_dtype(n):
+    """Dtype of vertex ids in CSR arrays: int32 while it holds n, as 1-based ids need."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+def _checked_n(n):
+    n = int(n)
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"n must be in [0, {MAX_N}]")
+    return n
+
+
+def pair_keys(n, u, v):
+    """Unsorted keys min * n + max of endpoint arrays u, v (either way round);
+    ValueError on n > MAX_N, unequal shapes, ids outside [0, n) or self-loops."""
+    n = _checked_n(n)
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    if u.shape != v.shape or u.ndim != 1:
+        raise ValueError("endpoint arrays must be 1-d and of equal length")
+    if u.size:
+        if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
+            raise ValueError("vertex id outside [0, n)")
+        if (u == v).any():
+            raise ValueError("self-loops are not allowed")
+    keys = np.minimum(u, v)
+    keys *= n
+    keys += np.maximum(u, v)
+    return keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,24 +74,28 @@ class Graph:
     def m(self):
         return self.keys.size
 
-    def _split(self, keys):
-        """(u, v) of keys u*n + v: `//` and a multiply-subtract beat `np.divmod`."""
-        u = keys // max(self.n, 1)
-        return u, keys - u * self.n
+    def upper(self):
+        """CSR (indices, indptr) of the upper triangle, in scipy's order: row u
+        holds the v > u of its edges, ascending like the keys, as `index_dtype(n)`."""
+        cols = np.empty(self.m, dtype=index_dtype(self.n))
+        for lo in range(0, self.m, _CHECK_BLOCK):
+            cols[lo : lo + _CHECK_BLOCK] = self.keys[lo : lo + _CHECK_BLOCK] % self.n
+        return cols, np.searchsorted(self.keys, np.arange(self.n + 1, dtype=np.int64) * self.n)
 
     @cached_property
     def indptr(self):
         """CSR row starts, from the degree of each vertex."""
-        ends = np.concatenate(self._split(self.keys))
-        return np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=self.n))))
+        cols, ptr = self.upper()
+        deg = np.diff(ptr) + np.bincount(cols, minlength=self.n)
+        return np.concatenate(([0], np.cumsum(deg)))
 
     @cached_property
     def indices(self):
-        """CSR neighbor lists: the keys of both orientations, sorted once."""
-        lo, hi = self._split(self.keys)
-        both = np.concatenate((self.keys, hi * self.n + lo))
-        both.sort()
-        return np.remainder(both, max(self.n, 1), out=both)
+        """CSR neighbor lists, as `index_dtype(n)`: the upper triangle plus
+        its transpose, which scipy places by counting."""
+        from scipy import sparse
+        upper = sparse.csr_matrix((np.ones(self.m, np.int8), *self.upper()), shape=(self.n,) * 2)
+        return (upper + upper.T).indices.astype(index_dtype(self.n), copy=False)
 
     def degrees(self):
         return np.diff(self.indptr)
@@ -79,7 +112,9 @@ class Graph:
     def edge_array(self, start=0, stop=None):
         """Edges start..stop - 1 (all by default) as a 2-column array with
         u < v, sorted lexicographically."""
-        return np.column_stack(self._split(self.keys[start:stop]))
+        keys = self.keys[start:stop]
+        u = keys // max(self.n, 1)  # `//` and a multiply-subtract beat `np.divmod`
+        return np.column_stack((u, keys - u * self.n))
 
     @classmethod
     def from_edge_arrays(cls, n, u, v=None):
@@ -89,37 +124,23 @@ class Graph:
         and kept, so the edges are held once. Keys that already ascend skip
         the sort. Raises ValueError on self-loops, duplicate edges, ids
         outside [0, n) or n > MAX_N."""
-        n = int(n)
-        if not 0 <= n <= MAX_N:
-            raise ValueError(f"n must be in [0, {MAX_N}]")
-        u = np.asarray(u, dtype=np.int64)
-        if v is None:
-            keys = u
-            if keys.ndim != 1:
-                raise ValueError("edge keys must be 1-d")
-            if keys.size:
-                if keys.min() < 0 or keys.max() >= n * n:
-                    raise ValueError("vertex id outside [0, n)")
-                # u < v  <=>  key = u*n + v > u*(n + 1)
-                for lo in range(0, keys.size, _CHECK_BLOCK):
-                    part = keys[lo : lo + _CHECK_BLOCK]
-                    if (part <= part // n * (n + 1)).any():
-                        raise ValueError("edge key u * n + v with u >= v")
-        else:
-            v = np.asarray(v, dtype=np.int64)
-            if u.shape != v.shape or u.ndim != 1:
-                raise ValueError("endpoint arrays must be 1-d and of equal length")
-            if u.size:
-                if min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n:
-                    raise ValueError("vertex id outside [0, n)")
-                if (u == v).any():
-                    raise ValueError("self-loops are not allowed")
-            keys = np.minimum(u, v) * n
-            keys += np.maximum(u, v)
-        if not (keys[1:] > keys[:-1]).all():
+        n = _checked_n(n)
+        keys = np.asarray(u, dtype=np.int64) if v is None else pair_keys(n, u, v)
+        if keys.ndim != 1:
+            raise ValueError("edge keys must be 1-d")
+        ascending = bool((keys[1:] > keys[:-1]).all())
+        if not ascending:
             keys.sort()
-            if (keys[1:] == keys[:-1]).any():
-                raise ValueError("duplicate edge")
+        if v is None and keys.size:
+            if keys[0] < 0 or keys[-1] >= n * n:
+                raise ValueError("vertex id outside [0, n)")
+            # u < v  <=>  key = u*n + v > u*(n + 1)
+            for lo in range(0, keys.size, _CHECK_BLOCK):
+                part = keys[lo : lo + _CHECK_BLOCK]
+                if (part <= part // n * (n + 1)).any():
+                    raise ValueError("edge key u * n + v with u >= v")
+        if not ascending and (keys[1:] == keys[:-1]).any():
+            raise ValueError("duplicate edge")
         return cls(n=n, keys=keys)
 
     @classmethod

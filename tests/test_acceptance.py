@@ -20,8 +20,6 @@ from hrgen import (
     GeneratorParams,
     Graph,
     InsufficientDataError,
-    NativePoint,
-    PoincarePoint,
     alpha_from_gamma,
     connected_component_sizes,
     core_numbers,
@@ -32,10 +30,8 @@ from hrgen import (
     generate_brute_force,
     generate_with_stats,
     global_clustering,
-    hyperbolic_circle_to_euclidean,
     local_clustering,
     mean_local_clustering,
-    poincare_distance,
     power_law_exponent,
     sample_points,
     target_radius,
@@ -44,6 +40,12 @@ from hrgen import (
     write_edgelist,
 )
 from hrgen.analysis import component_labels
+from hrgen.geometry import (
+    NativePoint,
+    PoincarePoint,
+    hyperbolic_circle_to_euclidean,
+    poincare_distance,
+)
 from hrgen.quadtree import PolarQuadtree
 
 import helpers

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph  # noqa: F401  loaded before any traced call
 
 from hrgen import (
     AnalysisReport,
@@ -243,3 +245,19 @@ def test_report_serialization():
     parsed = dict(line.split() for line in lines)
     assert set(parsed) == set(AnalysisReport.field_names())
     assert report.to_dict()["m"] == g.m
+
+
+def test_analyze_peak_memory_per_edge():
+    # the CSR view is built inside the traced call; each edge then costs its
+    # 8-byte int32 neighbour pair and the transients of the worst routine.
+    # scipy is imported above, as its modules are no memory per edge.
+    graph = generate(GeneratorParams(n=20_000, avg_degree=16.0, gamma=3.0, seed=2))
+    tracemalloc.start()
+    try:
+        report = analyze(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.m == graph.m > 150_000
+    bound = 56 * graph.m + 64 * graph.n
+    assert peak <= bound, f"{peak / graph.m:.1f} bytes per edge"

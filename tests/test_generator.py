@@ -258,7 +258,7 @@ def test_leaf_capacity_does_not_change_output():
     coords = sample_points(model.n, model.alpha, model.R, 6)
     weight = disk_weight(coords.r_native)
     edge_sets = []
-    for capacity in (32, 2048, generator._LEAF_CAPACITY):
+    for capacity in (32, 2048, n):
         tree = PolarQuadtree.build(
             coords.phi,
             coords.r_poincare,
@@ -275,7 +275,8 @@ def test_leaf_capacity_does_not_change_output():
         keys = np.sort(np.minimum(v, w) * n + np.maximum(v, w))
         assert np.all(np.diff(keys) > 0) and keys.size > n
         edge_sets.append(keys)
-    # the chosen capacity makes a height-0 grid, one row of halving-mass bands
+    # the generator's capacity, n, makes a height-0 grid, one row of
+    # halving-mass bands
     assert tree.height() == 0
     assert np.array_equal(edge_sets[0], edge_sets[1])
     assert np.array_equal(edge_sets[0], edge_sets[2])

@@ -6,22 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hrgen import (
-    EuclideanCircle,
     InfeasibleParametersError,
     ModelParams,
-    NativePoint,
     ParameterDomainError,
-    PoincarePoint,
     alpha_from_gamma,
     expected_avg_degree,
-    hyperbolic_circle_to_euclidean,
-    normalize_angle,
-    poincare_distance,
     target_radius,
     to_native_radius,
     to_poincare_radius,
 )
-from hrgen.geometry import TWO_PI, circle_params
+from hrgen.geometry import (
+    TWO_PI,
+    EuclideanCircle,
+    NativePoint,
+    PoincarePoint,
+    circle_params,
+    hyperbolic_circle_to_euclidean,
+    normalize_angle,
+    poincare_distance,
+)
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 

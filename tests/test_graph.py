@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrgen import Graph
-from hrgen.graph import MAX_N
+from hrgen.graph import MAX_N, index_dtype
 
 from helpers import csr_lexsort
 
@@ -136,6 +136,67 @@ def test_from_edge_arrays_rejects_flawed_input(flaw, n, seed):
         keys = np.minimum(u, v) * n + np.maximum(u, v)
         with pytest.raises(ValueError):
             Graph.from_edge_arrays(n, np.insert(keys, at, bad_u * n + bad_v))
+
+
+def star_with_isolated_vertices():
+    # a hub joined to most vertices, a few other edges, and vertices with no
+    # edge at the start, in the middle and at the end
+    rng = np.random.default_rng(4)
+    leaves = np.setdiff1d(np.arange(1, 299), [17, 150, 151])
+    u = np.concatenate((np.full(leaves.size, 17), rng.choice(leaves, 40)))
+    v = np.concatenate((leaves, rng.choice(leaves, 40)))
+    keep = u != v
+    keys = np.unique(np.minimum(u, v)[keep] * 300 + np.maximum(u, v)[keep])
+    return 300, keys // 300, keys % 300
+
+
+@pytest.mark.parametrize(
+    "n, u, v",
+    [
+        (0, [], []),
+        (1, [], []),
+        (6, [], []),
+        (6, [0, 5, 2], [5, 2, 4]),
+        star_with_isolated_vertices(),
+    ],
+)
+def test_csr_view_is_int32_and_matches_lexsort_oracle(n, u, v):
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    g = Graph.from_edge_arrays(n, u, v)
+    indptr, indices = csr_lexsort(n, u, v)
+    assert g.indices.dtype == np.int32
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    upper, upper_ptr = g.upper()
+    assert upper.dtype == np.int32 and upper_ptr.size == n + 1
+    assert np.array_equal(upper, g.keys % max(n, 1))
+
+
+def test_index_dtype_widens_from_two_to_the_31():
+    # checked on the rule alone: a graph of 2**31 vertices would need GBs
+    assert index_dtype(0) is np.int32
+    assert index_dtype(2**31 - 1) is np.int32
+    assert index_dtype(2**31) is np.int64
+    assert index_dtype(MAX_N) is np.int64
+
+
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        ([1, 2, -1], "outside"),
+        ([-1, 7], "outside"),
+        ([5, 16], "outside"),
+        ([16, 1], "outside"),
+        ([1, 4], "u >= v"),
+        ([6, 1, 5], "u >= v"),
+        ([1, 2, 1], "duplicate"),
+    ],
+)
+def test_from_keys_raises_what_it_finds(keys, message):
+    # n = 4: keys 0..15, u < v for 1, 2, 3, 6, 7, 11; ascending input is
+    # checked without a sort, the rest after one
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edge_arrays(4, np.array(keys))
 
 
 @pytest.mark.parametrize("n", [MAX_N + 1, 2**32])

@@ -72,6 +72,10 @@ def test_header_edge_count_mismatch_rejected(tmp_path):
     path.write_text("# 3 2 0 1.0 1.0\n0 1\n")
     with pytest.raises(ValueError, match="announces"):
         read_edgelist(path)
+    # an m far beyond what the file can hold allocates nothing for it
+    path.write_text("# 3 1000000000000000 0 1.0 1.0\n0 1\n")
+    with pytest.raises(ValueError, match="announces 1000000000000000 edges, file holds 1"):
+        read_edgelist(path)
 
 
 def test_malformed_header_rejected(tmp_path):

@@ -13,7 +13,6 @@ from hrgen import (
     sample_points,
     to_poincare_radius,
 )
-from hrgen.generator import _LEAF_CAPACITY
 from hrgen.geometry import TWO_PI, within_distance
 from hrgen.quadtree import band_boundaries
 
@@ -409,7 +408,7 @@ def test_same_band_neighbour_nearer_the_origin(gamma, dr):
         r,
         alpha=model.alpha,
         max_r=to_poincare_radius(model.R),
-        capacity=_LEAF_CAPACITY,
+        capacity=phi.size,  # the generator's height-0 tree
     )
     assert np.unique(band_of(tree, r[n:])).size == 1
     got = query(tree, n, model.R)
