@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, ParameterDomainError
 from .graph import Graph
 
 # Row-block size for the sparse triangle products, at most 1/16 of the rows:
@@ -28,7 +28,7 @@ _TRIANGLE_BLOCK = 8192
 _KEY_BLOCK = 1 << 16  # edge keys read per block, 0.5 MB
 
 # Components at most this large get the exact all-pairs diameter.
-DEFAULT_EXACT_DIAMETER_LIMIT = 10_000
+EXACT_DIAMETER_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -225,31 +225,22 @@ def core_numbers(graph: Graph):
     return core
 
 
-def bfs_distances(graph: Graph, source, return_parents=False):
+def bfs_distances(graph: Graph, source):
     """Hop distances from `source` (-1 where unreachable), frontier by
-    frontier with vectorized neighbor expansion."""
+    frontier with vectorized neighbor expansion. Raises ParameterDomainError
+    for a source outside [0, n)."""
     n = graph.n
+    if not 0 <= source < n:
+        raise ParameterDomainError(f"source must be in [0, {n}), got {source}")
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
-    parent = np.full(n, -1, dtype=np.int64) if return_parents else None
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
         d += 1
-        counts = graph.indptr[frontier + 1] - graph.indptr[frontier]
         nbr = graph.indices[multi_arange(graph.indptr[frontier], graph.indptr[frontier + 1])]
-        fresh = dist[nbr] < 0
-        if return_parents:
-            origin = np.repeat(frontier, counts)[fresh]
-            cand = nbr[fresh]
-            uniq, first = np.unique(cand, return_index=True)
-            parent[uniq] = origin[first]
-        else:
-            uniq = np.unique(nbr[fresh])
-        dist[uniq] = d
-        frontier = uniq
-    if return_parents:
-        return dist, parent
+        frontier = np.unique(nbr[dist[nbr] < 0])
+        dist[frontier] = d
     return dist
 
 
@@ -257,13 +248,15 @@ def _eccentricity(dist):
     return int(dist[dist >= 0].max())
 
 
-def diameter_bounds(graph: Graph, exact_limit=DEFAULT_EXACT_DIAMETER_LIMIT):
+def diameter_bounds(graph: Graph):
     """[lower, upper] bounds on the diameter of the largest component.
 
-    Small components get the exact all-pairs answer. Otherwise a few
-    eccentricity sweeps (max-degree start, two farthest-point hops, and the
-    midpoint of the found long path) give the bounds: the largest observed
-    eccentricity from below, twice the smallest from above.
+    A component of at most `EXACT_DIAMETER_LIMIT` vertices gets the exact
+    all-pairs answer. A larger one gets four eccentricity sweeps: from its
+    max-degree vertex, from the farthest vertex u found, from the farthest
+    vertex w from u, and from the midpoint of a shortest w-u path, reached by
+    stepping from w to the lowest-id neighbour one hop nearer u. The largest
+    eccentricity is the lower bound, twice the smallest the upper.
     """
     if graph.n == 0:
         return 0, 0
@@ -272,7 +265,7 @@ def diameter_bounds(graph: Graph, exact_limit=DEFAULT_EXACT_DIAMETER_LIMIT):
     if members.size <= 1:
         return 0, 0
 
-    if members.size <= exact_limit:
+    if members.size <= EXACT_DIAMETER_LIMIT:
         diameter = 0
         for v in members:
             diameter = max(diameter, _eccentricity(bfs_distances(graph, v)))
@@ -284,14 +277,14 @@ def diameter_bounds(graph: Graph, exact_limit=DEFAULT_EXACT_DIAMETER_LIMIT):
     eccs = [_eccentricity(dist0)]
     u = int(np.flatnonzero(dist0 == eccs[0])[0])
 
-    dist_u, parent = bfs_distances(graph, u, return_parents=True)
+    dist_u = bfs_distances(graph, u)
     eccs.append(_eccentricity(dist_u))
     w = int(np.flatnonzero(dist_u == eccs[-1])[0])
 
-    path = [w]
-    while path[-1] != u:
-        path.append(int(parent[path[-1]]))
-    mid = path[len(path) // 2]
+    mid = w
+    for _ in range((eccs[-1] + 1) // 2):
+        nbrs = graph.neighbors(mid)  # ascending, so the first match has the lowest id
+        mid = int(nbrs[dist_u[nbrs] == dist_u[mid] - 1][0])
 
     eccs.append(_eccentricity(bfs_distances(graph, w)))
     eccs.append(_eccentricity(bfs_distances(graph, mid)))
@@ -319,27 +312,23 @@ def power_law_exponent(degrees, k_min) -> float:
     return 1.0 + tail.size / float(np.sum(np.log(tail / (k_min - 0.5))))
 
 
-def analyze(
-    graph: Graph,
-    *,
-    k_min=None,
-    exact_diameter_limit=DEFAULT_EXACT_DIAMETER_LIMIT,
-) -> AnalysisReport:
+def analyze(graph: Graph) -> AnalysisReport:
     """Full measurement pass over one graph.
 
-    `k_min` overrides the power-law tail cutoff (default: the larger of 5
-    and twice the median degree, which keeps the fit clear of the curved
-    low-degree bulk). A tail too thin to fit reports the exponent as None.
+    The diameter is exact when the largest component holds at most
+    `EXACT_DIAMETER_LIMIT` (10^4) vertices, else sweep bounds (see
+    `diameter_bounds`). The power-law tail starts at k_min = max(5, twice
+    the median degree), which keeps the fit clear of the curved low-degree
+    bulk. A tail too thin to fit reports the exponent as None.
     """
     deg = graph.degrees()
     n, m = graph.n, graph.m
     sizes = connected_component_sizes(graph)
-    lower, upper = diameter_bounds(graph, exact_limit=exact_diameter_limit)
-    if k_min is None:
-        k_min = max(5, 2 * int(np.median(deg))) if n else 5
+    lower, upper = diameter_bounds(graph)
+    k_min = max(5, 2 * int(np.median(deg))) if n else 5
     try:
         exponent = power_law_exponent(deg, k_min)
-        fitted_k_min = int(k_min)
+        fitted_k_min = k_min
     except InsufficientDataError:
         exponent = None
         fitted_k_min = None

@@ -197,13 +197,8 @@ def _query_edge_keys(tree, n, radius, threads):
         for lo in range(start, end, _EDGE_CHUNK)
     ]
 
-    def run(block):
-        return _edge_keys(tree, n, radius, *block)
-
-    if threads == 1 or len(blocks) == 1:
-        return [run(b) for b in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, blocks))
+        return list(pool.map(lambda block: _edge_keys(tree, n, radius, *block), blocks))
 
 
 def generate_with_stats(params: GeneratorParams):

@@ -234,10 +234,11 @@ def expected_avg_degree(n: int, alpha: float, radius: float) -> float:
 
 _RADIUS_LO = 1e-6
 _RADIUS_HI = 200.0
+_RADIUS_REL_TOL = 1e-6  # relative error in the expected degree that ends the bisection
 
 
-def target_radius(n: int, avg_degree: float, alpha: float, rel_tol: float = 1e-6) -> float:
-    """Disk radius R whose expected average degree equals avg_degree.
+def target_radius(n: int, avg_degree: float, alpha: float) -> float:
+    """Disk radius R whose expected average degree is avg_degree to within `_RADIUS_REL_TOL`.
 
     The closed form vanishes at R -> 0, rises to a single peak at small R and
     decays monotonically afterwards; the physically meaningful solution is on
@@ -262,14 +263,14 @@ def target_radius(n: int, avg_degree: float, alpha: float, rel_tol: float = 1e-6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         k = expected_avg_degree(n, alpha, mid)
-        if abs(k - avg_degree) <= rel_tol * avg_degree:
+        if abs(k - avg_degree) <= _RADIUS_REL_TOL * avg_degree:
             return mid
         if k > avg_degree:
             lo = mid
         else:
             hi = mid
     raise InfeasibleParametersError(
-        f"bisection failed to reach tolerance {rel_tol} for n={n}, alpha={alpha}, "
+        f"bisection failed to reach tolerance {_RADIUS_REL_TOL} for n={n}, alpha={alpha}, "
         f"avg_degree={avg_degree}"
     )
 

@@ -127,58 +127,57 @@ def read_edgelist(path):
     plus one. Each non-blank line after the header must hold two decimal ids,
     else ValueError. Lines may come in any order; sorted ones skip a sort.
     After a header each block of lines becomes keys at once, in one array of
-    the m it announces; without one the ids are held until n is known."""
-    header = None
-    ids = []
-    with open(path, "rb") as fh:
-        first = fh.readline().decode("utf-8", errors="replace")
-        if first.startswith("#"):
-            parts = first[1:].split()
-            if len(parts) != 5:
-                raise ValueError(f"malformed header line in {path}: {first!r}")
-            header = EdgeListHeader(*map(int, parts[:3]), *map(float, parts[3:]))
-        else:
-            fh.seek(0)
-        # an edge line takes 3 bytes or more, so no header makes this exceed the file
-        cap = min(max(header.m, 0), os.fstat(fh.fileno()).st_size // 3) if header else 0
-        keys = np.empty(cap, dtype=np.int64)
-        size = 0
-        rest = b""
-        while True:
-            chunk = fh.read(_READ_BLOCK)
-            block = rest + chunk
-            # cut at the last line end; the last line may lack its newline
-            cut = block.rfind(b"\n") + 1 if chunk else len(block)
-            block, rest = block[:cut], block[cut:]
-            try:
-                values = _parse_pairs(block)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-            count = values.size // 2
-            if header is None:
-                ids.append(values)
-            elif size + count > keys.size:
-                raise ValueError(f"{path}: header announces {header.m} edges, file holds more")
+    the m it announces; without one the ids are held until n is known. Every
+    ValueError about the file's content names the file."""
+    try:
+        header = None
+        ids = []
+        with open(path, "rb") as fh:
+            first = fh.readline().decode("utf-8", errors="replace")
+            if first.startswith("#"):
+                parts = first[1:].split()
+                if len(parts) != 5:
+                    raise ValueError(f"malformed header line: {first!r}")
+                header = EdgeListHeader(*map(int, parts[:3]), *map(float, parts[3:]))
             else:
-                # one array: blocks of keys kept between the parser's temporaries
-                # made glibc fault in fresh pages per block (30 k faults, not 9 k)
-                keys[size : size + count] = pair_keys(header.n, values[0::2], values[1::2])
-                size += count
-            if not chunk:
-                break
-    if header is None:
-        ids = np.concatenate(ids)
-        n = int(ids.max()) + 1 if ids.size else 0
-        keys = pair_keys(n, ids[0::2], ids[1::2])
-        del ids
-    else:
-        n, keys = header.n, keys[:size]
-    graph = Graph.from_edge_arrays(n, keys)
-    if header is not None and graph.m != header.m:
-        raise ValueError(
-            f"{path}: header announces {header.m} edges, file holds {graph.m}"
-        )
-    return graph, header
+                fh.seek(0)
+            # an edge line takes 3 bytes or more, so no header makes this exceed the file
+            cap = min(max(header.m, 0), os.fstat(fh.fileno()).st_size // 3) if header else 0
+            keys = np.empty(cap, dtype=np.int64)
+            size = 0
+            rest = b""
+            while True:
+                chunk = fh.read(_READ_BLOCK)
+                block = rest + chunk
+                # cut at the last line end; the last line may lack its newline
+                cut = block.rfind(b"\n") + 1 if chunk else len(block)
+                block, rest = block[:cut], block[cut:]
+                values = _parse_pairs(block)
+                count = values.size // 2
+                if header is None:
+                    ids.append(values)
+                elif size + count > keys.size:
+                    raise ValueError(f"header announces {header.m} edges, file holds more")
+                else:
+                    # one array: blocks of keys kept between the parser's temporaries
+                    # made glibc fault in fresh pages per block (30 k faults, not 9 k)
+                    keys[size : size + count] = pair_keys(header.n, values[0::2], values[1::2])
+                    size += count
+                if not chunk:
+                    break
+        if header is None:
+            ids = np.concatenate(ids)
+            n = int(ids.max()) + 1 if ids.size else 0
+            keys = pair_keys(n, ids[0::2], ids[1::2])
+            del ids
+        else:
+            n, keys = header.n, keys[:size]
+        graph = Graph.from_edge_arrays(n, keys)
+        if header is not None and graph.m != header.m:
+            raise ValueError(f"header announces {header.m} edges, file holds {graph.m}")
+        return graph, header
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_metis(graph: Graph, path):

@@ -10,6 +10,7 @@ from hrgen import (
     GeneratorParams,
     Graph,
     InsufficientDataError,
+    ParameterDomainError,
     analyze,
     bfs_distances,
     connected_component_sizes,
@@ -23,6 +24,7 @@ from hrgen import (
     power_law_exponent,
     triangle_count,
 )
+from hrgen import analysis
 from hrgen.analysis import component_labels
 
 from helpers import (
@@ -144,14 +146,11 @@ def test_bfs_matches_brute_force():
         assert bfs_distances(g, source).tolist() == bfs_brute(g, source)
 
 
-def test_bfs_parents_are_consistent():
-    rng = np.random.default_rng(5)
-    g = gnp_graph(60, 0.08, rng)
-    dist, parent = bfs_distances(g, 0, return_parents=True)
-    for v in range(g.n):
-        if dist[v] > 0:
-            assert dist[parent[v]] == dist[v] - 1
-            assert v in g.neighbors(parent[v])
+@pytest.mark.parametrize("source", [-1, 4])
+def test_bfs_rejects_source_outside_the_graph(source):
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ParameterDomainError, match="source"):
+        bfs_distances(path, source)
 
 
 def test_diameter_exact_small():
@@ -173,14 +172,24 @@ def test_diameter_exact_matches_brute_force():
         assert diameter_bounds(g) == (d, d)
 
 
-def test_diameter_sweep_bounds_sandwich_truth():
+def test_diameter_sweep_bounds_sandwich_truth(monkeypatch):
+    # force the sweep path even though the graph is small
+    monkeypatch.setattr(analysis, "EXACT_DIAMETER_LIMIT", 10)
     rng = np.random.default_rng(7)
     for _ in range(5):
         g = gnp_graph(150, 0.02, rng)
         exact = diameter_brute(g)
-        # force the sweep path even though the graph is small
-        lower, upper = diameter_bounds(g, exact_limit=10)
+        lower, upper = diameter_bounds(g)
         assert lower <= exact <= upper
+
+
+@pytest.mark.parametrize("seed, bounds", [(0, (13, 14)), (1, (11, 12)), (2, (13, 14))])
+def test_diameter_sweep_bounds_are_pinned(seed, bounds):
+    # giant components of 19,974-19,992 vertices, above the exact limit, so
+    # these pin the sweeps' start, farthest-point and midpoint rules
+    g = generate(GeneratorParams(n=20_000, avg_degree=16, gamma=3, seed=seed))
+    assert connected_component_sizes(g)[0] > analysis.EXACT_DIAMETER_LIMIT
+    assert diameter_bounds(g) == bounds
 
 
 # -- power-law fit ------------------------------------------------------------

@@ -107,6 +107,27 @@ def test_misshapen_edge_lines_rejected(tmp_path, body):
         read_edgelist(path)
 
 
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        ("# 3 1 0 1.0 1.0\n0 3\n", "vertex id outside"),
+        ("# 3 1 0 1.0 1.0\n1 1\n", "self-loops"),
+        ("1 1\n", "self-loops"),
+        ("# x 1 0 1.0 1.0\n0 1\n", "invalid literal"),
+        ("# 3 2\n0 1\n", "malformed header"),
+        ("0 1\n2 x\n", "decimal vertex ids"),
+        ("0 1\n1 0\n", "duplicate"),
+    ],
+)
+def test_content_errors_name_the_file(tmp_path, body, reason):
+    path = tmp_path / "bad.edges"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=reason) as caught:
+        read_edgelist(path)
+    assert str(caught.value).startswith(f"{path}: ")
+    assert isinstance(caught.value.__cause__, ValueError)
+
+
 def test_blank_space_and_line_ends_accepted(tmp_path):
     path = tmp_path / "loose.edges"
     path.write_bytes(b"# 6 3 0 1.0 1.0\n 0 1\r\n\n2\t 3  \n\n4 5")
