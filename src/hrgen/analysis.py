@@ -1,15 +1,14 @@
 """Structural measures of undirected simple graphs.
 
-The routines are vectorized over the CSR view of `Graph`. scipy is imported
-only where it is called, so generation alone never loads it. Diameter is a
-[lower, upper] interval from eccentricity sweeps unless the component is
-small enough for the exact all-pairs computation.
+The routines are vectorized over the keys and the CSR view of `Graph`, with
+numpy alone. Diameter is a [lower, upper] interval from eccentricity sweeps
+unless the component is small enough for the exact all-pairs computation.
 
 Memory: besides the keys and the CSR view (8 bytes per edge each), the
-triangle kernel holds its oriented matrix and its transpose (16 bytes per
-edge, int32) plus one row block's products, and the component labelling the
-upper triangle and scipy's transpose of it (24). `analyze` at n = 10^5
-(k = 16, gamma = 3) peaks at 47 bytes per edge in all under tracemalloc.
+triangle kernel holds its sorted oriented keys and their order by head (16
+bytes per edge) plus one block of wedges, and the component labelling one
+block of neighbour labels. `analyze` at n = 10^5 (k = 16, gamma = 3) peaks
+at 43 bytes per edge in all under tracemalloc, keys and view included.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterDomainError
 from .graph import Graph
 
-# Row-block size for the sparse triangle products, at most 1/16 of the rows:
-# at n = 2*10^4 (k = 16, gamma = 3) 8192 rows peaked at 55 bytes/edge, 1/16 at 28.
-_TRIANGLE_BLOCK = 8192
+# Edges and wedges per block of the triangle kernel, at most m / 8 of them.
+_WEDGE_BLOCK = 1 << 18
 
-_KEY_BLOCK = 1 << 16  # edge keys read per block, 0.5 MB
+_KEY_BLOCK = 1 << 16  # edge keys, or neighbour ids, read per block
 
 # Components at most this large get the exact all-pairs diameter.
 EXACT_DIAMETER_LIMIT = 10_000
@@ -81,71 +79,123 @@ def multi_arange(starts, stops):
     return np.cumsum(out, out=out)
 
 
+def _head_shift(n, m):
+    """Bits dropped from a head rank so that (head >> shift) * m + position
+    stays below 2**63: 0 while n * m < 2**62. Coarser heads only cost the
+    search its locality."""
+    return max(0, (n * m).bit_length() - 62)
+
+
 def _vertex_triangles(graph: Graph):
     """Triangles through each vertex, as a float array.
 
     Edges are oriented from lower to higher (degree, id) rank, which caps
-    out-degrees near sqrt(m) and keeps the sparse products cheap even with
-    heavy-tailed degrees. With B the oriented adjacency, a triangle a < b < c
-    (by rank) is the path a->b->c closed by a->c: B @ B masked by B finds it
-    at (a, c), which credits a and c, and B.T @ B masked by B finds it at
-    (b, c), which credits b.
+    out-degrees near sqrt(m) even with heavy-tailed degrees. The oriented
+    keys rank(a) * n + rank(b) are sorted, so row a of them lists a's
+    out-neighbours by rank. A triangle a < b < c (by rank) is the wedge
+    a->b, a->c closed by the key of b->c; it is found once, by a binary
+    search for that key, and credits a, b and c. The edges a->b are taken in
+    the order of b, so each block searches only the rows of its heads.
     """
-    from scipy import sparse
-    n = graph.n
-    tri = np.zeros(n)
-    if graph.m == 0:
-        return tri
-    deg = graph.degrees()
-    ptr, nbrs = graph.indptr, graph.indices
-    rank = np.empty(n, dtype=nbrs.dtype)
-    rank[np.lexsort((np.arange(n), deg))] = np.arange(n, dtype=nbrs.dtype)
-    step = min(_TRIANGLE_BLOCK, -(-n // 16))
-    # B's rows are the CSR rows cut to their higher-ranked neighbours
-    cols = np.empty(graph.m, dtype=nbrs.dtype)
-    b_ptr = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        row = nbrs[ptr[lo] : ptr[hi]]
-        up = rank[row] > np.repeat(rank[lo:hi], deg[lo:hi])
-        ups = np.concatenate(([0], np.cumsum(up)))
-        b_ptr[lo + 1 : hi + 1] = b_ptr[lo] + ups[ptr[lo + 1 : hi + 1] - ptr[lo]]
-        cols[b_ptr[lo] : b_ptr[hi]] = row[up]
-    b = sparse.csr_matrix((np.ones(graph.m, dtype=np.int32), cols, b_ptr), shape=(n, n))
-    bt = b.T.tocsr()
-    for lo in range(0, n, step):
-        rows = b[lo : lo + step]
-        ends = (rows @ b).multiply(rows)
-        tri[lo : lo + step] += np.asarray(ends.sum(axis=1)).ravel()
-        tri += np.asarray(ends.sum(axis=0)).ravel()
-        middle = (bt[lo : lo + step] @ b).multiply(rows)
-        tri[lo : lo + step] += np.asarray(middle.sum(axis=1)).ravel()
-    return tri
+    n, m = graph.n, graph.m
+    if m == 0:
+        return np.zeros(n)
+    block = min(_WEDGE_BLOCK, -(-m // 8))
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), graph.degrees()))] = np.arange(n)
+    oriented = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, block):
+        u, v = np.divmod(graph.keys[lo : lo + block], n)
+        u, v = rank[u], rank[v]
+        low = np.minimum(u, v)
+        low *= n
+        low += np.maximum(u, v)
+        oriented[lo : lo + low.size] = low
+    oriented.sort()
+    ptr = np.searchsorted(oriented, np.arange(n + 1, dtype=np.int64) * n)
+    # positions of the oriented edges, sorted by head: (head >> shift) * m + position
+    shift = _head_shift(n, m)
+    by_head = np.empty(m, dtype=np.int64)
+    for lo in range(0, m, block):
+        part = oriented[lo : lo + block]
+        head = part % n
+        head >>= shift
+        head *= m
+        head += np.arange(lo, lo + part.size)
+        by_head[lo : lo + part.size] = head
+    by_head.sort()
+    tri = np.zeros(n, dtype=np.int64)
+    for lo in range(0, m, block):
+        pos = by_head[lo : lo + block] % m
+        a, b = np.divmod(oriented[pos], n)
+        # the wedges of a->b are a->c for the later positions of row a
+        count = ptr[a + 1] - pos - 1
+        busy = count > 0
+        pos, a, b, count = pos[busy], a[busy], b[busy], count[busy]
+        cut = np.searchsorted(np.cumsum(count), np.arange(block, count.sum(), block))
+        bounds = np.unique(np.concatenate(([0], cut, [pos.size])))
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            _close_wedges(oriented, ptr, tri, pos[start:stop], a[start:stop],
+                          b[start:stop], count[start:stop])
+    return tri[rank].astype(np.float64)
 
 
-def triangle_count(graph: Graph) -> int:
-    """Number of triangles, each counted once."""
-    return int(round(_vertex_triangles(graph).sum() / 3.0))
+def _close_wedges(oriented, ptr, tri, pos, a, b, count):
+    """Credits to `tri` the triangles closed on the wedges of the oriented
+    edges a->b at `pos`, each with `count` > 0 later positions in its row."""
+    n = tri.size
+    offset = np.cumsum(count)
+    offset -= count
+    closing = np.repeat(pos + 1 - offset, count)
+    closing += np.arange(closing.size)
+    closing = oriented[closing]
+    # a->c is a*n + c, so b->c is that plus (b - a)*n
+    closing += np.repeat((b - a) * n, count)
+    rows = oriented[ptr[b.min()] : ptr[b.max() + 1]]
+    if not rows.size:
+        return
+    at = np.searchsorted(rows, closing)
+    np.minimum(at, rows.size - 1, out=at)
+    hit = rows[at] == closing
+    per_edge = np.add.reduceat(hit, offset, dtype=np.int64)
+    np.add.at(tri, a, per_edge)
+    np.add.at(tri, b, per_edge)
+    np.add.at(tri, closing[hit] % n, 1)
+
+
+def triangle_count(graph: Graph, out=None) -> int:
+    """Number of triangles, each counted once. With `out`, a float array of
+    n, the triangles through each vertex are written to it as well."""
+    tri = _vertex_triangles(graph)
+    if out is not None:
+        out[...] = tri
+    return int(round(tri.sum() / 3.0))
 
 
 def global_clustering(graph: Graph) -> float:
     """Transitivity: 3 * triangles / connected triples. Zero when the graph
     has no triple at all."""
+    return _global_clustering(graph, triangle_count(graph))
+
+
+def _global_clustering(graph, triangles):
     deg = graph.degrees().astype(np.int64)
     triples = int(np.sum(deg * (deg - 1) // 2))
     if triples == 0:
         return 0.0
-    return 3.0 * triangle_count(graph) / triples
+    return 3.0 * triangles / triples
 
 
 def local_clustering(graph: Graph):
     """Per-vertex clustering: triangles through v over pairs of neighbors
     of v; zero for degree < 2. Returned as a float array."""
+    return _local_clustering(graph, _vertex_triangles(graph))
+
+
+def _local_clustering(graph, tri):
     deg = graph.degrees().astype(np.int64)
     wedges = deg * (deg - 1) / 2.0
-    return np.divide(
-        _vertex_triangles(graph), wedges, out=np.zeros(graph.n), where=wedges > 0
-    )
+    return np.divide(tri, wedges, out=np.zeros(graph.n), where=wedges > 0)
 
 
 def mean_local_clustering(graph: Graph) -> float:
@@ -155,9 +205,11 @@ def mean_local_clustering(graph: Graph) -> float:
     dominated by a few hubs; on heavy-tailed graphs the two can differ by
     several times.
     """
-    if graph.n == 0:
-        return 0.0
-    return float(local_clustering(graph).mean())
+    return _mean_local_clustering(graph, _vertex_triangles(graph))
+
+
+def _mean_local_clustering(graph, tri):
+    return float(_local_clustering(graph, tri).mean()) if graph.n else 0.0
 
 
 def degree_assortativity(graph: Graph) -> float | None:
@@ -179,15 +231,41 @@ def degree_assortativity(graph: Graph) -> float | None:
 
 
 def component_labels(graph: Graph):
-    """(labels, sizes): per-vertex component label and per-label size."""
-    from scipy.sparse import csgraph, csr_matrix
+    """(labels, sizes): per-vertex component label and per-label size.
+
+    Min-label hooking with pointer jumping over the CSR view. Each round,
+    every vertex hooks the root of its tree to the smallest root among its
+    neighbours, then every vertex jumps to its root. Within two rounds every
+    tree of an unfinished component merges with another, so there are at
+    most about 2 log2(n) rounds. A component's root is its lowest vertex,
+    and labels number the components in the order of their roots.
+    """
     n = graph.n
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # one float64 entry per edge, at (u, v) with u < v; the search goes both ways
-    upper = csr_matrix((np.ones(graph.m), *graph.upper()), shape=(n, n))
-    count, labels = csgraph.connected_components(upper, directed=False)
-    return labels.astype(np.int64), np.bincount(labels, minlength=count).astype(np.int64)
+    ptr, nbrs = graph.indptr, graph.indices
+    parent = np.arange(n, dtype=nbrs.dtype)
+    busy = np.flatnonzero(np.diff(ptr))  # vertices with a neighbour
+    starts = ptr[busy]
+    # blocks of busy vertices holding about _KEY_BLOCK neighbour ids each
+    cuts = np.searchsorted(starts, np.arange(0, graph.m * 2, _KEY_BLOCK))
+    cuts = np.unique(np.append(cuts, busy.size))
+    low = np.empty(busy.size, dtype=parent.dtype)
+    while True:
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            seen = parent[nbrs[starts[lo] : ptr[busy[hi - 1] + 1]]]
+            low[lo:hi] = np.minimum.reduceat(seen, starts[lo:hi] - starts[lo])
+        root = parent[busy]
+        hook = low < root
+        if not hook.any():
+            break
+        np.minimum.at(parent, root[hook], low[hook])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    is_root = parent == np.arange(n)
+    labels = (np.cumsum(is_root) - 1)[parent]
+    return labels, np.bincount(labels, minlength=int(is_root.sum()))
 
 
 def connected_component_sizes(graph: Graph):
@@ -323,6 +401,8 @@ def analyze(graph: Graph) -> AnalysisReport:
     """
     deg = graph.degrees()
     n, m = graph.n, graph.m
+    tri = np.empty(n)
+    triangles = triangle_count(graph, out=tri)
     sizes = connected_component_sizes(graph)
     lower, upper = diameter_bounds(graph)
     k_min = max(5, 2 * int(np.median(deg))) if n else 5
@@ -337,8 +417,8 @@ def analyze(graph: Graph) -> AnalysisReport:
         m=m,
         avg_degree=2.0 * m / n if n else 0.0,
         max_degree=int(deg.max()) if n else 0,
-        global_clustering=global_clustering(graph),
-        mean_local_clustering=mean_local_clustering(graph),
+        global_clustering=_global_clustering(graph, triangles),
+        mean_local_clustering=_mean_local_clustering(graph, tri),
         degree_assortativity=degree_assortativity(graph),
         component_count=int(sizes.size),
         largest_component_fraction=float(sizes[0]) / n if n else 0.0,

@@ -9,7 +9,8 @@ from the keys on first use and then kept; writing an edge list never needs it.
 Memory: 8 bytes per edge for the keys, sorted in place unless they ascend and
 checked with one byte per edge plus one block of `_CHECK_BLOCK` keys; endpoint
 pairs add their 16 bytes per edge. The CSR view adds 8 bytes per edge (int32
-ids below n = 2**31) and 8 per vertex, placed by counting, not by a sort.
+ids below n = 2**31) and 8 per vertex. It is placed by counting, with the
+transposed keys (8 bytes per edge while it is built) sorted once.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ MAX_N = 3_037_000_499  # largest n whose keys, up to n*n - 1, fit in int64
 
 # Keys are decoded, for checks and for the CSR view, in blocks of this many.
 _CHECK_BLOCK = 1 << 20
+
+# The CSR view is placed in blocks of this many keys, 0.5 MB per temporary.
+_PLACE_BLOCK = 1 << 16
 
 
 def index_dtype(n):
@@ -74,28 +78,52 @@ class Graph:
     def m(self):
         return self.keys.size
 
-    def upper(self):
-        """CSR (indices, indptr) of the upper triangle, in scipy's order: row u
-        holds the v > u of its edges, ascending like the keys, as `index_dtype(n)`."""
-        cols = np.empty(self.m, dtype=index_dtype(self.n))
-        for lo in range(0, self.m, _CHECK_BLOCK):
-            cols[lo : lo + _CHECK_BLOCK] = self.keys[lo : lo + _CHECK_BLOCK] % self.n
-        return cols, np.searchsorted(self.keys, np.arange(self.n + 1, dtype=np.int64) * self.n)
+    def _upper_ptr(self):
+        """Start of each row of the upper triangle in the keys, n + 1 of them."""
+        return np.searchsorted(self.keys, np.arange(self.n + 1, dtype=np.int64) * self.n)
 
     @cached_property
     def indptr(self):
-        """CSR row starts, from the degree of each vertex."""
-        cols, ptr = self.upper()
-        deg = np.diff(ptr) + np.bincount(cols, minlength=self.n)
+        """CSR row starts, from the degree of each vertex: its keys as u, then
+        as v, counted a block of at least n keys at a time."""
+        deg = np.diff(self._upper_ptr())
+        step = max(_CHECK_BLOCK, self.n)
+        for lo in range(0, self.m, step):
+            deg += np.bincount(self.keys[lo : lo + step] % self.n, minlength=self.n)
         return np.concatenate(([0], np.cumsum(deg)))
 
     @cached_property
     def indices(self):
-        """CSR neighbor lists, as `index_dtype(n)`: the upper triangle plus
-        its transpose, which scipy places by counting."""
-        from scipy import sparse
-        upper = sparse.csr_matrix((np.ones(self.m, np.int8), *self.upper()), shape=(self.n,) * 2)
-        return (upper + upper.T).indices.astype(index_dtype(self.n), copy=False)
+        """CSR neighbor lists, as `index_dtype(n)`, placed by counting: row v
+        holds its lower neighbours u < v, then its upper ones, both ascending.
+        The upper halves are the keys in order; the lower halves are the
+        transposed keys v*n + u in order, after one sort."""
+        n, m = self.n, self.m
+        up_ptr = self._upper_ptr()
+        low_ptr = self.indptr - up_ptr  # lower neighbours in the rows before each row
+        out = np.empty(2 * m, dtype=index_dtype(n))
+        flipped = np.empty(m, dtype=np.int64)
+        for lo in range(0, m, _PLACE_BLOCK):
+            part = self.keys[lo : lo + _PLACE_BLOCK]
+            u = part // n
+            v = part - u * n
+            # key i of row u goes after the lower halves of rows 0..u
+            at = low_ptr[u + 1]
+            at += np.arange(lo, lo + part.size)
+            out[at] = v
+            v *= n
+            v += u
+            flipped[lo : lo + part.size] = v
+        flipped.sort()
+        for lo in range(0, m, _PLACE_BLOCK):
+            part = flipped[lo : lo + _PLACE_BLOCK]
+            v = part // n
+            # transposed key j of row v goes after the upper halves of rows 0..v-1
+            at = up_ptr[v]
+            at += np.arange(lo, lo + part.size)
+            v *= n
+            out[at] = part - v
+        return out
 
     def degrees(self):
         return np.diff(self.indptr)

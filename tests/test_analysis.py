@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import csgraph  # noqa: F401  loaded before any traced call
+from scipy.sparse import csgraph, csr_matrix
 
 from hrgen import (
     AnalysisReport,
@@ -58,6 +58,9 @@ def test_clustering_small_graphs():
     assert mean_local_clustering(TRIANGLE) == pytest.approx(1.0)
 
     assert triangle_count(DIAMOND) == 2
+    per_vertex = np.full(4, -1.0)
+    assert triangle_count(DIAMOND, out=per_vertex) == 2
+    assert per_vertex.tolist() == [2.0, 2.0, 1.0, 1.0]
     assert global_clustering(DIAMOND) == pytest.approx(0.75)
     assert mean_local_clustering(DIAMOND) == pytest.approx(5.0 / 6.0)
     assert local_clustering(DIAMOND) == pytest.approx([2 / 3, 2 / 3, 1.0, 1.0])
@@ -77,6 +80,48 @@ def test_clustering_matches_brute_force():
         assert local_clustering(g) == pytest.approx(
             local_clustering_brute(g), abs=1e-12
         )
+
+
+def vertex_triangles_brute(g):
+    adj = [set(g.neighbors(v).tolist()) for v in range(g.n)]
+    return [sum(len(adj[v] & adj[w]) for w in adj[v]) // 2 for v in range(g.n)]
+
+
+@pytest.mark.parametrize("block, shift", [(None, None), (3, None), (None, 3), (1, 40)])
+def test_vertex_triangles_in_blocks_and_coarse_heads(monkeypatch, block, shift):
+    # blocks of a few wedges cut rows and edges; a coarse head order (as for
+    # n * m >= 2**62) changes only the order of the searches
+    if block is not None:
+        monkeypatch.setattr(analysis, "_WEDGE_BLOCK", block)
+    if shift is not None:
+        monkeypatch.setattr(analysis, "_head_shift", lambda n, m: shift)
+    rng = np.random.default_rng(5)
+    graphs = [
+        gnp_graph(60, 0.2, rng),
+        generate(GeneratorParams(n=600, avg_degree=12.0, gamma=2.2, seed=3)),
+        DIAMOND,
+        K4_PENDANT,
+    ]
+    for g in graphs:
+        got = analysis._vertex_triangles(g)
+        assert got.dtype == np.float64
+        assert got.tolist() == vertex_triangles_brute(g)
+
+
+def test_analyze_counts_triangles_once(monkeypatch):
+    calls = []
+    kernel = analysis._vertex_triangles
+
+    def counted(graph):
+        calls.append(graph)
+        return kernel(graph)
+
+    monkeypatch.setattr(analysis, "_vertex_triangles", counted)
+    g = generate(GeneratorParams(n=500, avg_degree=6.0, gamma=3.0, seed=1))
+    report = analyze(g)
+    assert len(calls) == 1
+    assert report.global_clustering == global_clustering(g)
+    assert report.mean_local_clustering == mean_local_clustering(g)
 
 
 # -- assortativity ------------------------------------------------------------
@@ -119,6 +164,60 @@ def test_components_against_brute_force():
         assert connected_component_sizes(g).tolist() == sorted(
             (len(c) for c in comps), reverse=True
         )
+
+
+def scipy_components(g):
+    upper = csr_matrix((np.ones(g.m), (g.keys // g.n, g.keys % g.n)), shape=(g.n, g.n))
+    count, labels = csgraph.connected_components(upper, directed=False)
+    return labels, np.bincount(labels, minlength=count)
+
+
+@pytest.mark.parametrize(
+    "params, least",
+    [
+        # isolated vertices next to a giant component
+        (GeneratorParams(n=3000, avg_degree=8.0, gamma=3.0, seed=2), 40),
+        # thousands of small components
+        (GeneratorParams(n=20_000, avg_degree=4.0, gamma=5.0, seed=1), 2000),
+    ],
+)
+def test_component_labels_match_scipy(params, least):
+    g = generate(params)
+    want_labels, want_sizes = scipy_components(g)
+    labels, sizes = component_labels(g)
+    assert (g.degrees() == 0).any() and sizes.size >= least
+    assert labels.dtype == sizes.dtype == np.int64
+    assert np.array_equal(labels, want_labels)
+    assert np.array_equal(sizes, want_sizes)
+
+
+def test_component_labels_of_graphs_without_edges():
+    labels, sizes = component_labels(Graph.from_edges(0, []))
+    assert labels.size == sizes.size == 0
+    labels, sizes = component_labels(Graph.from_edges(5, []))
+    assert labels.tolist() == [0, 1, 2, 3, 4] and sizes.tolist() == [1] * 5
+
+
+def test_component_labels_in_blocks_with_the_hub_last(monkeypatch):
+    # a star on the last vertex and a path: blocks of 4 neighbour ids cut the
+    # hub's row, which outlasts every block start
+    edges = [(v, 39) for v in range(0, 30, 2)] + [(v, v + 2) for v in range(1, 35, 2)]
+    g = Graph.from_edges(40, edges)
+    monkeypatch.setattr(analysis, "_KEY_BLOCK", 4)
+    labels, sizes = component_labels(g)
+    want_labels, want_sizes = scipy_components(g)
+    assert np.array_equal(labels, want_labels) and np.array_equal(sizes, want_sizes)
+
+
+def test_diameter_takes_the_lowest_of_two_largest_components():
+    # a path 4-6-7 (diameter 2) and a triangle 2-3-5 (diameter 1) tie at three
+    # vertices; the triangle holds the lower vertex, so its label comes first
+    g = Graph.from_edges(8, [(4, 6), (6, 7), (2, 3), (3, 5), (2, 5)])
+    labels, sizes = component_labels(g)
+    want_labels, want_sizes = scipy_components(g)
+    assert np.array_equal(labels, want_labels) and np.array_equal(sizes, want_sizes)
+    assert sizes.tolist() == [1, 1, 3, 3]
+    assert diameter_bounds(g) == (1, 1)
 
 
 def test_core_numbers_small_graphs():
@@ -259,7 +358,6 @@ def test_report_serialization():
 def test_analyze_peak_memory_per_edge():
     # the CSR view is built inside the traced call; each edge then costs its
     # 8-byte int32 neighbour pair and the transients of the worst routine.
-    # scipy is imported above, as its modules are no memory per edge.
     graph = generate(GeneratorParams(n=20_000, avg_degree=16.0, gamma=3.0, seed=2))
     tracemalloc.start()
     try:

@@ -237,18 +237,18 @@ def test_stats_line_omits_peak_rss_without_proc(tmp_path, capsys, monkeypatch):
     assert list(stats_fields(stdout)) == STATS_KEYS
 
 
-def test_generate_does_not_import_scipy(tmp_path):
-    # analysis imports scipy where it is called; generation must not pay for it
+def test_no_command_imports_scipy(tmp_path):
+    # hrgen runs on numpy alone: scipy is only a test dependency
     script = f"""
 import sys
 from hrgen.cli import main
 path = {str(tmp_path / "g.edges")!r}
-assert "scipy" not in sys.modules
-assert main(["generate", "--nodes", "300", "--avg-degree", "6", "--gamma", "3",
-             "--output", path]) == 0
-assert "scipy" not in sys.modules, "generate loaded scipy"
+args = ["--nodes", "300", "--avg-degree", "6", "--gamma", "3"]
+assert main(["generate", *args, "--output", path]) == 0
+assert main(["generate", *args, "--format", "metis",
+             "--output", {str(tmp_path / "g.metis")!r}]) == 0
 assert main(["analyze", "--input", path]) == 0
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules, "hrgen loaded scipy"
 """
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     done = subprocess.run(

@@ -167,9 +167,6 @@ def test_csr_view_is_int32_and_matches_lexsort_oracle(n, u, v):
     assert g.indices.dtype == np.int32
     assert np.array_equal(g.indptr, indptr)
     assert np.array_equal(g.indices, indices)
-    upper, upper_ptr = g.upper()
-    assert upper.dtype == np.int32 and upper_ptr.size == n + 1
-    assert np.array_equal(upper, g.keys % max(n, 1))
 
 
 def test_index_dtype_widens_from_two_to_the_31():
