@@ -215,7 +215,6 @@ def generate_with_stats(params: GeneratorParams):
         coords.r_poincare,
         alpha=model.alpha,
         max_r=to_poincare_radius(model.R),
-        capacity=n,  # height 0: every band is a halving-mass core band
         b=disk_weight(coords.r_native),
     )
     del coords

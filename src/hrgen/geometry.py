@@ -192,11 +192,7 @@ def circle_params(r_poincare, hyperbolic_radius):
     a = 2.0 * np.sinh(rad / 2.0) ** 2  # cosh(rad) - 1
     b = (1.0 - rh) * (1.0 + rh)
     denom = a * b + 2.0
-    center_r = 2.0 * rh / denom
-    disc = center_r**2 - (2.0 * rh**2 - a * b) / denom
-    if np.any(disc < 0.0):
-        raise AssertionError("negative discriminant in circle transform; inputs out of domain")
-    return center_r, np.sqrt(disc)
+    return 2.0 * rh / denom, np.sinh(rad) * b / denom
 
 
 def hyperbolic_circle_to_euclidean(center: NativePoint, radius: float) -> EuclideanCircle:

@@ -37,7 +37,8 @@ class EdgeListHeader:
     alpha: float
 
     def line(self) -> str:
-        return f"# {self.n} {self.m} {self.seed} {self.radius!r} {self.alpha!r}\n"
+        radius, alpha = float(self.radius), float(self.alpha)
+        return f"# {self.n} {self.m} {self.seed} {radius!r} {alpha!r}\n"
 
 
 def _format_ids(ids, seps, *, blank_zero=False):

@@ -1,4 +1,4 @@
-"""Polar quadtree over the unit disk, stored as radial bands of its leaf grid.
+"""Polar quadtree over the unit disk, stored as radial bands of halving mass.
 
 Cells are annulus sectors in polar coordinates of the Poincare disk. Every
 level of the tree halves a cell's angle range and splits its radial range so
@@ -9,13 +9,14 @@ and its leaves at depth h form a fixed grid: 2^h radial rows times 2^h
 angular sectors of width 2pi / 2^h. Row boundaries are dyadic in the radial
 mass u = (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) of native radius r, which
 is the recursive equal-mass split in closed form. A node at depth d is a
-block of 2^(h-d) rows times one sector of width 2pi / 2^d.
+block of 2^(h-d) rows times one sector of width 2pi / 2^d. The grid is a
+view, computed from the stored points on demand.
 
 Points are stored by radial band, sorted by angle within each band. The
-bands are the grid's rows, except that the innermost row, which spans the
-whole core of the disk, is split further into bands of halving mass: radii
-in geometric progression, as in von Looz et al.'s band generator. A coarse
-grid (few rows, many core bands) suits the query below.
+outermost band holds half the probability mass, the next one a quarter, and
+so on until the innermost band expects at most one point: radii in geometric
+progression, as in von Looz et al.'s band generator. The storage does not
+depend on the grid's height.
 
 A query asks, for each stored point v of a slice of the storage order, which
 points stored after v lie within hyperbolic distance R of it, reading both
@@ -127,13 +128,12 @@ class NodeView(NamedTuple):
 class PolarQuadtree:
     """Point index over polar cells of the Poincare disk, created by `build`.
 
-    The tree has `height()` levels below the root, and its leaves form a
-    grid of 2**height radial rows times 2**height angular sectors. Bands
-    0..`core` make up row 0, and band `core` + k is row k. `band_r` holds
-    the bands' Poincare boundary radii; `band_ptr[b]:band_ptr[b + 1]` is
-    band b's slice of the per-point arrays. `bands` lists the occupied
-    bands, and `band_rmin`/`band_rmax` the radius range of the points each
-    of them actually stores.
+    `band_r` holds the bands' Poincare boundary radii, and
+    `band_ptr[b]:band_ptr[b + 1]` is band b's slice of the per-point arrays;
+    `band_rmin`/`band_rmax` give the radius range of the points each band
+    stores, +inf/-inf for an empty band. The leaves form a grid of
+    2**height() radial rows, with Poincare boundary radii `row_r`, times
+    2**height() angular sectors.
 
     Per-point arrays, each band's slice sorted by (angle, id): `p_phi`,
     `p_r`, `p_id`, Cartesian `p_z` = `p_x` + i`p_y` (views), the weight
@@ -148,11 +148,11 @@ class PolarQuadtree:
         1 - r^2; points sampled by native radius pass `disk_weight` of it,
         which keeps its digits at the rim.
 
-        The height is the smallest h with n <= capacity * 4**h, so `capacity`
-        bounds the expected number of points per leaf on model input, not the
-        maximum: the leaf grid is fixed, and a leaf holds whatever falls in it.
-        The innermost row is split into bands of halving mass until the
-        innermost band expects at most one point.
+        The points are stored in bands of halving mass whatever `capacity`
+        is: it sets only the leaf grid's height, the smallest h with
+        n <= capacity * 4**h. So it bounds the expected number of points per
+        leaf on model input, not the maximum: the grid is fixed, and a leaf
+        holds whatever falls in it.
 
         Each band's points are stored in (angle, id) order, the order of
         `np.lexsort((phi, band))`, from two cheaper sorts: an unstable
@@ -188,14 +188,14 @@ class PolarQuadtree:
         height = 0
         while capacity * 4**height < phi.size:
             height += 1
-        n_rows = 2**height
-        core = 0
-        while n_rows * 2**core < phi.size:
-            core += 1
-        bounds = to_poincare_radius(
-            band_boundaries(n_rows, core, alpha, to_native_radius(max_r))
+        core = max(phi.size - 1, 0).bit_length()  # smallest with n <= 2**core
+        native_max_r = to_native_radius(max_r)
+        bounds, row_r = (
+            to_poincare_radius(band_boundaries(rows, c, alpha, native_max_r))
+            for rows, c in ((1, core), (2**height, 0))
         )
-        bounds[0], bounds[-1] = 0.0, max_r
+        for radii in (bounds, row_r):
+            radii[0], radii[-1] = 0.0, max_r
         band = np.searchsorted(bounds[1:-1], r, side="right")
         # Bands sorted by (angle, id) for the queries' binary searches.
         order = np.argsort(phi)
@@ -210,7 +210,7 @@ class PolarQuadtree:
 
         tree = cls.__new__(cls)
         tree._height = height
-        tree.core = core
+        tree.row_r = row_r
         tree.band_r = bounds
         tree.band_ptr = np.searchsorted(band, np.arange(bounds.size))
         tree.p_phi = p_phi[by_band]
@@ -223,14 +223,16 @@ class PolarQuadtree:
         tree.p_b = b[order]
         tree.p_key = band * _BAND_STRIDE + tree.p_phi
 
-        # Actual point radius range per occupied band. Much tighter than the
-        # band's bounds where its lower bound lies far below its sparsest
-        # point, and that tightness is what makes the angular query windows
-        # narrow.
-        tree.bands = np.flatnonzero(np.diff(tree.band_ptr))
-        starts = tree.band_ptr[tree.bands]
-        tree.band_rmin = np.minimum.reduceat(tree.p_r, starts)
-        tree.band_rmax = np.maximum.reduceat(tree.p_r, starts)
+        # Actual point radius range per band. Much tighter than the band's
+        # bounds where its lower bound lies far below its sparsest point, and
+        # that tightness is what makes the angular query windows narrow. An
+        # empty band's range is empty, so no circle reaches it.
+        full = np.diff(tree.band_ptr) > 0
+        starts = tree.band_ptr[:-1][full]
+        tree.band_rmin = np.full(full.size, np.inf)
+        tree.band_rmax = np.full(full.size, -np.inf)
+        tree.band_rmin[full] = np.minimum.reduceat(tree.p_r, starts)
+        tree.band_rmax[full] = np.maximum.reduceat(tree.p_r, starts)
         return tree
 
     def __len__(self):
@@ -253,7 +255,7 @@ class PolarQuadtree:
         if not 0 <= lo <= hi <= len(self):
             raise ValueError("need 0 <= lo <= hi <= len(tree)")
         pairs = [(np.empty(0, dtype=np.int64),) * 2]
-        ends = self.band_ptr[self.bands + 1]
+        ends = self.band_ptr[1:]
         while lo < hi:
             j = int(np.searchsorted(ends, lo, side="right"))
             end = min(hi, int(ends[j]))
@@ -309,7 +311,7 @@ class PolarQuadtree:
         right = np.concatenate(
             (np.minimum(right, TWO_PI), np.where(below, TWO_PI, right[wrap] - TWO_PI))
         )
-        base = self.bands[np.concatenate((k, k[wrap]))] * _BAND_STRIDE
+        base = np.concatenate((k, k[wrap])) * _BAND_STRIDE
         lq = np.concatenate((lq, lq[wrap]))
         # Keys round by far less than the window pad.
         ws = np.searchsorted(self.p_key, base[m:] + left[m:])
@@ -339,8 +341,7 @@ class PolarQuadtree:
     def _cells(self):
         """Leaf of every stored point, numbered row * 2**height + sector."""
         n = 2**self._height
-        band = np.repeat(np.arange(self.band_ptr.size - 1), np.diff(self.band_ptr))
-        row = np.maximum(band - self.core, 0)
+        row = np.searchsorted(self.row_r[1:-1], self.p_r, side="right")
         edges = np.arange(1, n) * (TWO_PI / n)
         return row * n + np.searchsorted(edges, self.p_phi, side="right")
 

@@ -257,8 +257,8 @@ def test_leaf_capacity_does_not_change_output():
     model = GeneratorParams(n=n, avg_degree=10.0, gamma=3.0).resolve()
     coords = sample_points(model.n, model.alpha, model.R, 6)
     weight = disk_weight(coords.r_native)
-    edge_sets = []
-    for capacity in (32, 2048, n):
+    trees, edge_sets = [], []
+    for capacity in (1, 128, n):
         tree = PolarQuadtree.build(
             coords.phi,
             coords.r_poincare,
@@ -268,16 +268,19 @@ def test_leaf_capacity_does_not_change_output():
             b=weight,
         )
         v, w = tree.query_many(0, n, model.R)
-        # each edge is found once, from the endpoint stored first; the
-        # capacity moves the band boundaries and so the storage order
+        # each edge is found once, from the endpoint stored first
         position = np.argsort(tree.p_id)
         assert np.all(position[v] < position[w])
         keys = np.sort(np.minimum(v, w) * n + np.maximum(v, w))
         assert np.all(np.diff(keys) > 0) and keys.size > n
+        trees.append(tree)
         edge_sets.append(keys)
-    # the generator's capacity, n, makes a height-0 grid, one row of
-    # halving-mass bands
-    assert tree.height() == 0
+    # the capacity sizes only the leaf grid; the bands and their storage
+    # order are the same for every capacity
+    assert [tree.height() for tree in trees] == [7, 3, 0]
+    for tree in trees[1:]:
+        for name in ("p_id", "band_ptr", "band_r", "band_rmin", "band_rmax"):
+            assert np.array_equal(getattr(tree, name), getattr(trees[0], name)), name
     assert np.array_equal(edge_sets[0], edge_sets[1])
     assert np.array_equal(edge_sets[0], edge_sets[2])
 

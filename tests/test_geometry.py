@@ -157,6 +157,16 @@ def test_circle_params_vectorized_matches_scalar():
         assert float(radi) == rad[i]
 
 
+@pytest.mark.parametrize("radius", [1e-6, 0.01, 1.0, 10.0])
+def test_circle_params_near_the_rim(radius):
+    # at 0.99701... and radius 1e-6 a discriminant for the radius cancelled
+    # to -1.1e-16
+    rs = np.array([0.0, 0.5, 0.9970102930724918, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15])
+    c, rad = circle_params(rs, radius)
+    assert np.all(np.isfinite(rad) & (rad >= 0.0))
+    assert np.all(np.isfinite(c) & (c >= 0.0))
+
+
 @given(
     st.floats(0.0, 8.0),
     st.floats(0.05, 8.0),

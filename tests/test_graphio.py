@@ -10,6 +10,7 @@ from hrgen import (
     GeneratorParams,
     Graph,
     generate,
+    generate_with_stats,
     read_edgelist,
     write_edgelist,
     write_metis,
@@ -36,6 +37,21 @@ def test_roundtrip_with_header(tmp_path):
     assert back.n == g.n
     assert np.array_equal(back.indptr, g.indptr)
     assert np.array_equal(back.indices, g.indices)
+
+
+def test_header_from_numpy_floats_roundtrips(tmp_path):
+    # numpy parameters reach the header as numpy floats, whose repr is
+    # np.float64(12.0); the line holds the plain float text all the same
+    params = GeneratorParams(n=200, radius=np.float64(12.0), alpha=np.float64(0.75), seed=3)
+    g, stats = generate_with_stats(params)
+    assert isinstance(stats.radius, np.float64)
+    h = EdgeListHeader(n=g.n, m=g.m, seed=3, radius=stats.radius, alpha=stats.alpha)
+    assert h.line() == f"# 200 {g.m} 3 12.0 0.75\n"
+    path = tmp_path / "g.edges"
+    write_edgelist(g, path, header=h)
+    back, h_back = read_edgelist(path)
+    assert h_back == EdgeListHeader(n=200, m=g.m, seed=3, radius=12.0, alpha=0.75)
+    assert back == g
 
 
 def test_roundtrip_without_header(tmp_path):

@@ -11,6 +11,7 @@ from hrgen import (
     ParameterDomainError,
     PolarQuadtree,
     sample_points,
+    to_native_radius,
     to_poincare_radius,
 )
 from hrgen.geometry import TWO_PI, within_distance
@@ -175,15 +176,22 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     assert len(tree) == n
     h = tree.height()
     assert n <= capacity * 4**h and (h == 0 or n > capacity * 4 ** (h - 1))
-    n_rows, core = 2**h, tree.core
-    assert n <= n_rows * 2**core and (core == 0 or n > n_rows * 2 ** (core - 1))
+    # core + 1 halving-mass bands, whatever the capacity, and 2**h rows
+    n_rows, core = 2**h, tree.band_r.size - 2
+    assert n <= 2**core and (core == 0 or n > 2 ** (core - 1))
+    native_max_r = to_native_radius(0.98)
+    want = to_poincare_radius(band_boundaries(1, core, alpha, native_max_r))
+    assert tree.band_r == pytest.approx(want, rel=1e-12)
+    row_r = tree.row_r
+    want = to_poincare_radius(band_boundaries(n_rows, 0, alpha, native_max_r))
+    assert row_r == pytest.approx(want, rel=1e-12)
+    assert (row_r[0], row_r[-1]) == (0.0, 0.98)
     assert tree.band_ptr[0] == 0 and tree.band_ptr[-1] == n
     assert np.all(np.diff(tree.band_ptr) >= 0)
     # every point lies in its band, and in its leaf's row and sector
-    band = np.repeat(np.arange(n_rows + core), np.diff(tree.band_ptr))
+    band = np.repeat(np.arange(core + 1), np.diff(tree.band_ptr))
     assert np.all(tree.band_r[band] <= tree.p_r)
     assert np.all(tree.p_r < tree.band_r[band + 1])
-    row_r = np.concatenate(([0.0], tree.band_r[core + 1 :]))
     width = TWO_PI / n_rows
     leaves = tree.leaves()
     assert len(leaves) == 4**h
@@ -201,11 +209,12 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     assert np.all(step[same] >= 0.0)
     assert np.all(np.diff(tree.p_id)[same & (step == 0.0)] > 0)
     assert np.all(np.diff(tree.p_key) >= 0.0)
-    # each occupied band keeps the radius range of its points
-    assert np.array_equal(tree.bands, np.unique(band))
-    for k, lo, hi in zip(tree.bands, tree.band_rmin, tree.band_rmax):
+    # each band keeps the radius range of its points, an empty one +-inf
+    assert tree.band_rmin.size == tree.band_rmax.size == core + 1
+    for k, (lo, hi) in enumerate(zip(tree.band_rmin, tree.band_rmax)):
         stored = tree.p_r[band == k]
-        assert (lo, hi) == (stored.min(), stored.max())
+        want = (stored.min(), stored.max()) if stored.size else (np.inf, -np.inf)
+        assert (lo, hi) == want
     # the stored points are the input points, and a point's id is its index
     assert np.array_equal(np.sort(tree.p_id), np.arange(n))
     assert np.array_equal(tree.p_phi, phi[tree.p_id])
@@ -280,7 +289,7 @@ def test_duplicate_points_share_one_cell():
     st.floats(1e-3, 12.0),
 )
 @settings(max_examples=60, deadline=None)
-# a hub-like query on a many-row grid: near the origin, every point inside
+# a hub-like query near the origin: every point inside
 @example(n=300, capacity=1, seed=3, q_phi=2.0, q_r=0.01, radius=5.0)
 # a subnormal query radius, where the window's quotient would overflow
 @example(n=0, capacity=1, seed=0, q_phi=0.0, q_r=2.225073858507e-311, radius=1.0)
@@ -325,12 +334,13 @@ def test_query_on_boundary_is_excluded():
     rim, inside = 1.0986122886681096, 1.0986122886681098
     assert not within_distance(0.5, 0.0, weight(0.5), 1.0, rim)
     assert within_distance(0.5, 0.0, weight(0.5), 1.0, inside)
-    # both points lie in the innermost band at angle 0, so point 0 is stored
-    # first and queries point 1, at the origin
+    # both points lie in the innermost band at angle 0, and in the single
+    # row, so point 0 is stored first and queries point 1, at the origin
     tree = PolarQuadtree.build(
         np.array([0.0, 0.0]), np.array([0.5, 0.0]), alpha=1.0, max_r=0.9
     )
-    assert tree.bands.size == 1
+    assert np.array_equal(tree.band_ptr, [0, 2, 2])
+    assert np.array_equal(tree.row_r, [0.0, 0.9])
     assert query(tree, 0, rim).size == 0
     assert np.array_equal(query(tree, 0, inside), [1])
     assert query(tree, 1, inside).size == 0
@@ -404,11 +414,7 @@ def test_same_band_neighbour_nearer_the_origin(gamma, dr):
     phi = np.concatenate((coords.phi, [1.0, 1.0 + inside, 1.0 + outside]))
     r = np.concatenate((coords.r_poincare, [r_v, r_w, r_w]))
     tree = PolarQuadtree.build(
-        phi,
-        r,
-        alpha=model.alpha,
-        max_r=to_poincare_radius(model.R),
-        capacity=phi.size,  # the generator's height-0 tree
+        phi, r, alpha=model.alpha, max_r=to_poincare_radius(model.R)
     )
     assert np.unique(band_of(tree, r[n:])).size == 1
     got = query(tree, n, model.R)
@@ -485,7 +491,7 @@ def test_tree_shape_accounting():
     # a depth-1 node is half the radial mass times a half turn
     d1 = tree.nodes_at_depth(1)
     assert [(nd.row, nd.sector) for nd in d1] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    outer = r >= tree.band_r[tree.core + 4]
+    outer = r >= tree.row_r[4]
     upper = phi >= math.pi
     assert [nd.size for nd in d1] == [
         int(np.sum((outer == i) & (upper == j))) for i in (0, 1) for j in (0, 1)
