@@ -306,10 +306,10 @@ def core_numbers(graph: Graph):
 def bfs_distances(graph: Graph, source):
     """Hop distances from `source` (-1 where unreachable), frontier by
     frontier with vectorized neighbor expansion. Raises ParameterDomainError
-    for a source outside [0, n)."""
+    for a source that is not an integer in [0, n)."""
     n = graph.n
-    if not 0 <= source < n:
-        raise ParameterDomainError(f"source must be in [0, {n}), got {source}")
+    if not (isinstance(source, (int, np.integer)) and 0 <= source < n):
+        raise ParameterDomainError(f"source must be an integer in [0, {n}), got {source}")
     dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)

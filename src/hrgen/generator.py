@@ -91,10 +91,10 @@ class GeneratorParams:
             raise ParameterDomainError("avg_degree must be positive")
         if self.radius is not None and not self.radius > 0.0:
             raise ParameterDomainError("radius must be positive")
-        if self.gamma is not None and not self.gamma > 2.0:
-            raise ParameterDomainError("gamma must exceed 2")
-        if self.alpha is not None and not self.alpha > 0.5:
-            raise ParameterDomainError("alpha must exceed 0.5")
+        if self.gamma is not None and not 2.0 < self.gamma < math.inf:
+            raise ParameterDomainError("gamma must be finite and exceed 2")
+        if self.alpha is not None and not 0.5 < self.alpha < math.inf:
+            raise ParameterDomainError("alpha must be finite and exceed 0.5")
         if not 0 <= self.seed < 2**64:
             raise ParameterDomainError("seed must be a 64-bit unsigned integer")
         if self.threads < 1:

@@ -19,60 +19,6 @@ from .errors import InfeasibleParametersError, ParameterDomainError
 TWO_PI = 2.0 * math.pi
 
 
-def normalize_angle(phi: float) -> float:
-    """Reduce an angle to the canonical range [0, 2*pi)."""
-    phi = math.fmod(phi, TWO_PI)
-    if phi < 0.0:
-        phi += TWO_PI
-    # adding 2*pi to a tiny negative rounds up to exactly 2*pi; keep the
-    # range contract half-open
-    return 0.0 if phi >= TWO_PI else phi
-
-
-@dataclass(frozen=True)
-class NativePoint:
-    """Polar point whose radial coordinate is the hyperbolic distance from the origin."""
-
-    phi: float
-    r: float
-
-    def __post_init__(self):
-        if not self.r >= 0.0:
-            raise ValueError(f"native radial coordinate must be >= 0, got {self.r}")
-        object.__setattr__(self, "phi", normalize_angle(self.phi))
-
-    def to_poincare(self) -> "PoincarePoint":
-        return PoincarePoint(self.phi, to_poincare_radius(self.r))
-
-
-@dataclass(frozen=True)
-class PoincarePoint:
-    """Polar point inside the Euclidean unit disk."""
-
-    phi: float
-    r: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"Poincare radial coordinate must be in [0, 1), got {self.r}")
-        object.__setattr__(self, "phi", normalize_angle(self.phi))
-
-    def to_cartesian(self) -> tuple[float, float]:
-        return self.r * math.cos(self.phi), self.r * math.sin(self.phi)
-
-
-@dataclass(frozen=True)
-class EuclideanCircle:
-    """Disk in the Poincare model, used as a range-query region."""
-
-    center: PoincarePoint
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius >= 0.0:
-            raise ValueError(f"circle radius must be >= 0, got {self.radius}")
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Resolved model parameters: n points on a disk of radius R, growth alpha.
@@ -110,8 +56,8 @@ def to_poincare_radius(r_native):
 def to_native_radius(r_poincare):
     """Inverse of to_poincare_radius. Accepts scalars or arrays in [0, 1)."""
     r = np.asarray(r_poincare, dtype=np.float64)
-    if np.any(r < 0.0) or np.any(r >= 1.0):
-        raise ValueError("Poincare radial coordinate must be in [0, 1)")
+    if not np.all((r >= 0.0) & (r < 1.0)):
+        raise ParameterDomainError("Poincare radial coordinate must be in [0, 1)")
     out = 2.0 * np.arctanh(r)
     return out if np.ndim(r_poincare) else float(out)
 
@@ -140,22 +86,6 @@ def within_distance(dx, dy, b_p, b_q, radius):
     return dx * dx + dy * dy < math.sinh(radius / 2.0) ** 2 * (b_p * b_q)
 
 
-def poincare_distance(p: PoincarePoint, q: PoincarePoint) -> float:
-    """Hyperbolic distance between two points of the unit disk.
-
-    This is acosh(1 + 2*d2/((1-|p|^2)(1-|q|^2))) with d2 the squared Euclidean
-    distance, evaluated in the equivalent form 2*asinh(d/sqrt(...)) which is
-    exact at p = q and keeps full precision near the disk boundary.
-    """
-    px, py = p.to_cartesian()
-    qx, qy = q.to_cartesian()
-    d = math.hypot(px - qx, py - qy)
-    # (1 - r^2) as (1 - r)(1 + r): avoids cancellation for r close to 1
-    bp = (1.0 - p.r) * (1.0 + p.r)
-    bq = (1.0 - q.r) * (1.0 + q.r)
-    return 2.0 * math.asinh(d / math.sqrt(bp * bq))
-
-
 def radial_inverse_cdf(u, alpha, radius):
     """Quantile function of the radial density: the r with
     (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) = u.
@@ -163,12 +93,12 @@ def radial_inverse_cdf(u, alpha, radius):
     Evaluated as (2/alpha)*asinh(sqrt(u)*sinh(alpha*R/2)), which stays
     accurate for u near 0 where the cosh form would cancel, and capped at R.
     """
-    if not alpha > 0.0:
-        raise ParameterDomainError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ParameterDomainError("alpha must be positive and finite")
     if not radius > 0.0:
         raise ParameterDomainError("radius must be positive")
     u_arr = np.asarray(u, dtype=np.float64)
-    if np.any(u_arr < 0.0) or np.any(u_arr > 1.0):
+    if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ParameterDomainError("u must lie in [0, 1]")
     out = (2.0 / alpha) * np.arcsinh(np.sqrt(u_arr) * math.sinh(alpha * radius / 2.0))
     return np.minimum(out, radius) if np.ndim(u) else min(float(out), radius)
@@ -193,16 +123,6 @@ def circle_params(r_poincare, hyperbolic_radius):
     b = (1.0 - rh) * (1.0 + rh)
     denom = a * b + 2.0
     return 2.0 * rh / denom, np.sinh(rad) * b / denom
-
-
-def hyperbolic_circle_to_euclidean(center: NativePoint, radius: float) -> EuclideanCircle:
-    """Transform a hyperbolic circle (native center, hyperbolic radius) into
-    the Euclidean circle that covers the same point set in the Poincare disk.
-    """
-    if not radius > 0.0:
-        raise ValueError(f"circle radius must be > 0, got {radius}")
-    center_r, rad_e = circle_params(to_poincare_radius(center.r), radius)
-    return EuclideanCircle(PoincarePoint(center.phi, float(center_r)), float(rad_e))
 
 
 def expected_avg_degree(n: int, alpha: float, radius: float) -> float:

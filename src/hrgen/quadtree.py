@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfBoundsError
+from .errors import OutOfBoundsError, ParameterDomainError
 from .geometry import (
     TWO_PI,
     circle_params,
@@ -98,7 +98,7 @@ def band_boundaries(rows, core, alpha, max_r_native):
     equal-mass splits.
     """
     if rows < 1 or core < 0:
-        raise ValueError("need rows >= 1 and core >= 0")
+        raise ParameterDomainError("need rows >= 1 and core >= 0")
     inner = 0.5 ** np.arange(core, 0, -1)
     mass = np.concatenate(([0.0], inner, np.arange(1, rows + 1))) / rows
     return radial_inverse_cdf(mass, alpha, max_r_native)
@@ -160,13 +160,13 @@ class PolarQuadtree:
         (-0.0 and 0.0 do), then a stable radix argsort of the small band
         index. A single float key band * stride + angle would round angles.
         """
-        if not alpha > 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ParameterDomainError("alpha must be positive and finite")
         if not 0.0 < max_r < 1.0:
-            raise ValueError("max_r must be in (0, 1)")
+            raise ParameterDomainError("max_r must be in (0, 1)")
         capacity = int(capacity)
         if capacity < 1:
-            raise ValueError("capacity must be at least 1")
+            raise ParameterDomainError("capacity must be at least 1")
         phi = np.ascontiguousarray(phi, dtype=np.float64)
         r = np.ascontiguousarray(r, dtype=np.float64)
         if phi.shape != r.shape or phi.ndim != 1:

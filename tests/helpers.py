@@ -13,6 +13,22 @@ from hrgen import Graph
 from hrgen.generator import _LONG_RANGE_STREAM
 
 
+def poincare_distance(px, py, qx, qy):
+    """Hyperbolic distance between two Cartesian points of the unit disk.
+
+    This is acosh(1 + 2*d2/((1-|p|^2)(1-|q|^2))) with d2 the squared Euclidean
+    distance, evaluated in the equivalent form 2*asinh(d/sqrt(...)) which is
+    exact at p = q and keeps full precision near the disk boundary.
+    """
+    d = math.hypot(px - qx, py - qy)
+    # (1 - r^2) as (1 - r)(1 + r): avoids cancellation for r close to 1
+    rp = math.hypot(px, py)
+    rq = math.hypot(qx, qy)
+    bp = (1.0 - rp) * (1.0 + rp)
+    bq = (1.0 - rq) * (1.0 + rq)
+    return 2.0 * math.asinh(d / math.sqrt(bp * bq))
+
+
 def adjacency_sets(graph: Graph):
     return [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
 

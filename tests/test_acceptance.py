@@ -40,12 +40,7 @@ from hrgen import (
     write_edgelist,
 )
 from hrgen.analysis import component_labels
-from hrgen.geometry import (
-    NativePoint,
-    PoincarePoint,
-    hyperbolic_circle_to_euclidean,
-    poincare_distance,
-)
+from hrgen.geometry import circle_params
 from hrgen.quadtree import PolarQuadtree
 
 import helpers
@@ -102,15 +97,16 @@ def test_02_circle_transform_isometry(capsys):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         c_native = rng.uniform(0.0, 8.0)
         radius = rng.uniform(0.05, 8.0)
-        circle = hyperbolic_circle_to_euclidean(NativePoint(phi, c_native), radius)
-        center = NativePoint(phi, c_native).to_poincare()
-        cx, cy = circle.center.to_cartesian()
+        r_center = to_poincare_radius(c_native)
+        c, rad = circle_params(r_center, radius)
+        px, py = r_center * math.cos(phi), r_center * math.sin(phi)
+        cx, cy = c * math.cos(phi), c * math.sin(phi)
         for j in range(32):
             t = 2.0 * math.pi * j / 32.0
-            bx = cx + circle.radius * math.cos(t)
-            by = cy + circle.radius * math.sin(t)
-            boundary = PoincarePoint(math.atan2(by, bx), math.hypot(bx, by))
-            worst = max(worst, abs(poincare_distance(center, boundary) - radius))
+            bx = cx + rad * math.cos(t)
+            by = cy + rad * math.sin(t)
+            d = helpers.poincare_distance(px, py, bx, by)
+            worst = max(worst, abs(d - radius))
     report(
         capsys, 2, "circle transform isometry", worst < 1e-7,
         f"32000 boundary points, worst |d - R| = {worst:.2e}",

@@ -245,7 +245,7 @@ def test_bfs_matches_brute_force():
         assert bfs_distances(g, source).tolist() == bfs_brute(g, source)
 
 
-@pytest.mark.parametrize("source", [-1, 4])
+@pytest.mark.parametrize("source", [-1, 4, 1.5, math.nan])
 def test_bfs_rejects_source_outside_the_graph(source):
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ParameterDomainError, match="source"):

@@ -63,6 +63,20 @@ def test_params_require_exactly_one_of_each_pair():
 
 
 @pytest.mark.parametrize(
+    "size", [{"radius": 10.0}, {"avg_degree": 8.0}], ids=["radius", "avg_degree"]
+)
+@pytest.mark.parametrize(
+    "shape",
+    [{"alpha": math.inf}, {"gamma": math.inf}, {"alpha": math.nan}],
+    ids=["alpha-inf", "gamma-inf", "alpha-nan"],
+)
+def test_infinite_alpha_or_gamma_rejected(size, shape):
+    # a RuntimeWarning on the way would fail the test under the warning filters
+    with pytest.raises(ParameterDomainError, match="finite"):
+        generate(GeneratorParams(n=100, **size, **shape))
+
+
+@pytest.mark.parametrize(
     "params",
     [
         GeneratorParams(n=100, radius=38.0, alpha=1.0),
@@ -118,13 +132,19 @@ def test_radial_inverse_cdf_inverts_the_cdf(u, alpha, radius):
 
 
 def test_radial_inverse_cdf_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         radial_inverse_cdf(-0.1, 1.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         radial_inverse_cdf(1.1, 1.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
+        radial_inverse_cdf(math.nan, 1.0, 10.0)
+    with pytest.raises(ParameterDomainError):
+        radial_inverse_cdf(np.array([0.5, math.nan]), 1.0, 10.0)
+    with pytest.raises(ParameterDomainError):
         radial_inverse_cdf(0.5, 0.0, 10.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
+        radial_inverse_cdf(0.5, math.inf, 10.0)
+    with pytest.raises(ParameterDomainError):
         radial_inverse_cdf(0.5, 1.0, 0.0)
 
 

@@ -15,46 +15,9 @@ from hrgen import (
     to_native_radius,
     to_poincare_radius,
 )
-from hrgen.geometry import (
-    TWO_PI,
-    EuclideanCircle,
-    NativePoint,
-    PoincarePoint,
-    circle_params,
-    hyperbolic_circle_to_euclidean,
-    normalize_angle,
-    poincare_distance,
-)
+from hrgen.geometry import TWO_PI, circle_params
 
-angles = st.floats(-50.0, 50.0, allow_nan=False)
-
-
-@given(angles)
-def test_normalize_angle_range(phi):
-    out = normalize_angle(phi)
-    assert 0.0 <= out < TWO_PI
-
-
-@given(angles, st.integers(-5, 5))
-def test_normalize_angle_periodic(phi, k):
-    a = normalize_angle(phi)
-    b = normalize_angle(phi + k * TWO_PI)
-    assert math.isclose(a, b, abs_tol=1e-9) or math.isclose(
-        abs(a - b), TWO_PI, abs_tol=1e-9
-    )
-
-
-def test_point_validation():
-    with pytest.raises(ValueError):
-        PoincarePoint(0.0, 1.0)
-    with pytest.raises(ValueError):
-        PoincarePoint(0.0, -0.1)
-    with pytest.raises(ValueError):
-        NativePoint(0.0, -1e-9)
-    with pytest.raises(ValueError):
-        EuclideanCircle(PoincarePoint(0.0, 0.0), -1.0)
-    # angles wrap on construction
-    assert PoincarePoint(TWO_PI + 0.25, 0.5).phi == pytest.approx(0.25)
+from helpers import poincare_distance
 
 
 def test_model_params_validation():
@@ -83,49 +46,53 @@ def test_radius_maps_scalar_vs_array():
         scalar = to_poincare_radius(float(r))
         assert isinstance(scalar, float)
         assert scalar == p
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         to_native_radius(1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         to_native_radius(np.array([0.2, -0.1]))
+    with pytest.raises(ParameterDomainError):
+        to_native_radius(math.nan)
+    with pytest.raises(ParameterDomainError):
+        to_native_radius(np.array([0.2, math.nan]))
 
 
 def test_distance_frozen_oracle():
     # diametrically opposite points at Euclidean radius 1/2:
     # acosh(1 + 2 / (3/4)^2) = 2 ln 3, worked out by hand
-    p = PoincarePoint(0.0, 0.5)
-    q = PoincarePoint(math.pi, 0.5)
-    assert poincare_distance(p, q) == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
+    d = poincare_distance(0.5, 0.0, 0.5 * math.cos(math.pi), 0.5 * math.sin(math.pi))
+    assert d == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
 
 
 def test_distance_to_origin_is_native_radius():
-    origin = PoincarePoint(0.0, 0.0)
     for r in (0.0, 0.1, 0.5, 0.9, 0.999999):
-        p = PoincarePoint(1.3, r)
-        assert poincare_distance(origin, p) == pytest.approx(
-            to_native_radius(r), rel=1e-12
-        )
+        d = poincare_distance(0.0, 0.0, r * math.cos(1.3), r * math.sin(1.3))
+        assert d == pytest.approx(to_native_radius(r), rel=1e-12)
 
 
-points = st.builds(
-    PoincarePoint,
+def _cartesian(phi_r):
+    phi, r = phi_r
+    return r * math.cos(phi), r * math.sin(phi)
+
+
+points = st.tuples(
     st.floats(0.0, TWO_PI, exclude_max=True),
     st.floats(0.0, 0.999),
-)
+).map(_cartesian)
 
 
 @given(points, points)
 def test_distance_symmetric_nonnegative(p, q):
-    d = poincare_distance(p, q)
+    d = poincare_distance(*p, *q)
     assert d >= 0.0
-    assert d == poincare_distance(q, p)
-    assert poincare_distance(p, p) == 0.0
+    assert d == poincare_distance(*q, *p)
+    assert poincare_distance(*p, *p) == 0.0
 
 
 @given(points, points, points)
 @settings(max_examples=200)
 def test_distance_triangle_inequality(p, q, r):
-    assert poincare_distance(p, r) <= (
-        poincare_distance(p, q) + poincare_distance(q, r) + 1e-9
+    assert poincare_distance(*p, *r) <= (
+        poincare_distance(*p, *q) + poincare_distance(*q, *r) + 1e-9
     )
 
 
@@ -133,19 +100,18 @@ def test_circle_frozen_oracle():
     # center at native radius ln 3 (Poincare 1/2), hyperbolic radius 1: the
     # circle meets the center's ray at tanh((ln3 +- 1)/2), so its Euclidean
     # center and radius are the midpoint and half-gap of those two values
-    circ = hyperbolic_circle_to_euclidean(NativePoint(0.7, math.log(3.0)), 1.0)
-    assert circ.center.phi == pytest.approx(0.7)
-    assert circ.center.r == pytest.approx(0.4154013410082924, abs=1e-15)
-    assert circ.radius == pytest.approx(0.3661351138456358, abs=1e-15)
+    c, rad = circle_params(to_poincare_radius(math.log(3.0)), 1.0)
+    assert c == pytest.approx(0.4154013410082924, abs=1e-15)
+    assert rad == pytest.approx(0.3661351138456358, abs=1e-15)
 
 
 def test_circle_covering_origin_frozen_oracle():
     # radius exceeds the center's distance to the origin, so the disk covers
     # the origin and the inward crossing lands on the opposite ray
-    circ = hyperbolic_circle_to_euclidean(NativePoint(1.2, 0.3), 2.0)
-    assert circ.center.r == pytest.approx(0.06334230406867858, abs=1e-15)
-    assert circ.radius == pytest.approx(0.7544117739016091, abs=1e-15)
-    assert circ.radius > circ.center.r
+    c, rad = circle_params(to_poincare_radius(0.3), 2.0)
+    assert c == pytest.approx(0.06334230406867858, abs=1e-15)
+    assert rad == pytest.approx(0.7544117739016091, abs=1e-15)
+    assert rad > c
 
 
 def test_circle_params_vectorized_matches_scalar():
@@ -176,19 +142,14 @@ def test_circle_params_near_the_rim(radius):
 def test_circle_boundary_points_at_stated_distance(center_native, rad_h, theta):
     """Points on the transformed circle's rim are at hyperbolic distance
     rad_h from the hyperbolic center."""
-    center = NativePoint(0.9, center_native)
-    circ = hyperbolic_circle_to_euclidean(center, rad_h)
-    cx, cy = circ.center.to_cartesian()
-    x = cx + circ.radius * math.cos(theta)
-    y = cy + circ.radius * math.sin(theta)
-    rim = PoincarePoint(math.atan2(y, x), math.hypot(x, y))
-    d = poincare_distance(center.to_poincare(), rim)
+    phi = 0.9
+    r_center = to_poincare_radius(center_native)
+    c, rad = circle_params(r_center, rad_h)
+    # the Euclidean center keeps the hyperbolic center's angle
+    x = c * math.cos(phi) + rad * math.cos(theta)
+    y = c * math.sin(phi) + rad * math.sin(theta)
+    d = poincare_distance(r_center * math.cos(phi), r_center * math.sin(phi), x, y)
     assert d == pytest.approx(rad_h, abs=5e-8)
-
-
-def test_circle_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        hyperbolic_circle_to_euclidean(NativePoint(0.0, 1.0), 0.0)
 
 
 @pytest.mark.parametrize(

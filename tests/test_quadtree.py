@@ -99,13 +99,15 @@ def test_splitting_radius_frozen_oracle():
 
 
 def test_splitting_radius_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         band_boundaries(0, 0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         band_boundaries(4, -1, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         band_boundaries(4, 0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
+        band_boundaries(4, 0, math.inf, 1.0)
+    with pytest.raises(ParameterDomainError):
         band_boundaries(4, 0, 1.0, 0.0)
 
 
@@ -145,12 +147,15 @@ def test_build_rejects_out_of_range():
 
 def test_constructor_domain():
     point = (np.array([0.5]), np.array([0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         PolarQuadtree.build(*point, alpha=0.0, max_r=0.9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
+        PolarQuadtree.build(*point, alpha=math.inf, max_r=0.9)
+    with pytest.raises(ParameterDomainError):
         PolarQuadtree.build(*point, alpha=1.0, max_r=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterDomainError):
         PolarQuadtree.build(*point, alpha=1.0, max_r=0.9, capacity=0)
+    # shape mismatches stay plain ValueErrors
     with pytest.raises(ValueError):
         PolarQuadtree.build(np.zeros((2, 2)), np.zeros((2, 2)), alpha=1.0, max_r=0.9)
     with pytest.raises(ValueError):

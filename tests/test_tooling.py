@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,19 @@ def test_failing_property_test_is_reported_as_a_failure(tmp_path):
     )
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Falsifying example" in done.stdout
+
+
+def test_library_code_never_calls_print():
+    # library code reports through logging; only the command line prints
+    calls = []
+    for path in sorted((ROOT / "src" / "hrgen").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"print called in library code: {calls}"
