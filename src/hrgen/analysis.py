@@ -7,8 +7,9 @@ unless the component is small enough for the exact all-pairs computation.
 Memory: besides the keys and the CSR view (8 bytes per edge each), the
 triangle kernel holds its sorted oriented keys and their order by head (16
 bytes per edge) plus one block of wedges, and the component labelling one
-block of neighbour labels. `analyze` at n = 10^5 (k = 16, gamma = 3) peaks
-at 43 bytes per edge in all under tracemalloc, keys and view included.
+block of neighbour labels; its result stays on the graph (8 bytes per vertex).
+`analyze` at n = 10^5 (k = 16, gamma = 3) peaks at 43 bytes per edge in all
+under tracemalloc, keys and view included.
 """
 
 from __future__ import annotations
@@ -214,19 +215,22 @@ def _mean_local_clustering(graph, tri):
 
 def degree_assortativity(graph: Graph) -> float | None:
     """Pearson correlation of endpoint degrees over all edge incidences.
-    None when undefined (no edges, or zero degree variance at the ends)."""
+    None when undefined (no edges, or zero degree variance at the ends).
+
+    The products are summed by numpy's own reductions, not BLAS dot
+    products, so the result does not depend on BLAS or its thread count."""
     if graph.m == 0:
         return None
     deg = graph.degrees().astype(np.float64)
     # both ends' degrees have the same mean and spread over the incidences
-    dev = deg - float(deg @ deg) / (2 * graph.m)
-    var = float(deg @ (dev * dev))
+    dev = deg - float(np.sum(deg * deg)) / (2 * graph.m)
+    var = float(np.sum(deg * (dev * dev)))
     if var == 0.0:
         return None
     cov = 0.0
     for lo in range(0, graph.m, _KEY_BLOCK):
         u, v = np.divmod(graph.keys[lo : lo + _KEY_BLOCK], graph.n)
-        cov += float(dev[u] @ dev[v])
+        cov += float(np.sum(dev[u] * dev[v]))
     return 2.0 * cov / var
 
 
@@ -268,9 +272,18 @@ def component_labels(graph: Graph):
     return labels, np.bincount(labels, minlength=int(is_root.sum()))
 
 
+def _components(graph):
+    """`component_labels(graph)`, computed on first use and then kept on the
+    graph as its CSR view is, so `analyze` labels the components once."""
+    cache = vars(graph)
+    if "_components" not in cache:
+        cache["_components"] = component_labels(graph)
+    return cache["_components"]
+
+
 def connected_component_sizes(graph: Graph):
     """Component sizes, largest first."""
-    _, sizes = component_labels(graph)
+    _, sizes = _components(graph)
     return np.sort(sizes)[::-1].copy()
 
 
@@ -338,7 +351,7 @@ def diameter_bounds(graph: Graph):
     """
     if graph.n == 0:
         return 0, 0
-    labels, sizes = component_labels(graph)
+    labels, sizes = _components(graph)
     members = np.flatnonzero(labels == int(np.argmax(sizes)))
     if members.size <= 1:
         return 0, 0

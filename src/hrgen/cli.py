@@ -9,14 +9,23 @@ Parameter errors exit with status 1 and a message on stderr; the STATS line
 of `generate` is tab-separated key=value pairs for easy scraping. Its
 `peak_rss_mb`, the process's peak resident set, is left out where
 /proc/self/status does not exist.
+
+hrgen calls no BLAS routine, so a process that starts numpy here runs
+OpenBLAS with one thread: `OPENBLAS_NUM_THREADS` defaults to 1, which halves
+numpy's import by not starting OpenBLAS's thread pool. A value set in the
+environment is kept.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import AnalysisReport, analyze
 from .errors import ParameterDomainError

@@ -92,6 +92,8 @@ def radial_inverse_cdf(u, alpha, radius):
 
     Evaluated as (2/alpha)*asinh(sqrt(u)*sinh(alpha*R/2)), which stays
     accurate for u near 0 where the cosh form would cancel, and capped at R.
+    Raises ParameterDomainError where sinh(alpha*R/2) overflows a float,
+    from alpha*R/2 of about 710 on.
     """
     if not 0.0 < alpha < math.inf:
         raise ParameterDomainError("alpha must be positive and finite")
@@ -100,7 +102,13 @@ def radial_inverse_cdf(u, alpha, radius):
     u_arr = np.asarray(u, dtype=np.float64)
     if not np.all((u_arr >= 0.0) & (u_arr <= 1.0)):
         raise ParameterDomainError("u must lie in [0, 1]")
-    out = (2.0 / alpha) * np.arcsinh(np.sqrt(u_arr) * math.sinh(alpha * radius / 2.0))
+    try:
+        scale = math.sinh(alpha * radius / 2.0)
+    except OverflowError:
+        raise ParameterDomainError(
+            f"alpha*R/2 = {alpha * radius / 2.0:.10g} is too large: sinh(alpha*R/2) overflows"
+        ) from None
+    out = (2.0 / alpha) * np.arcsinh(np.sqrt(u_arr) * scale)
     return np.minimum(out, radius) if np.ndim(u) else min(float(out), radius)
 
 

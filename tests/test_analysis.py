@@ -124,6 +124,28 @@ def test_analyze_counts_triangles_once(monkeypatch):
     assert report.mean_local_clustering == mean_local_clustering(g)
 
 
+def test_analyze_labels_components_once(monkeypatch):
+    calls = []
+    labelling = analysis.component_labels
+
+    def counted(graph):
+        calls.append(graph)
+        return labelling(graph)
+
+    monkeypatch.setattr(analysis, "component_labels", counted)
+    g = generate(GeneratorParams(n=20_000, avg_degree=4.0, gamma=2.5, seed=1))
+    report = analyze(g)
+    assert len(calls) == 1
+    fresh = Graph(n=g.n, keys=g.keys)  # labelled once more, for both calls
+    sizes = connected_component_sizes(fresh)
+    # several components, the largest past the exact-diameter limit
+    assert sizes.size > 1 and sizes[0] > analysis.EXACT_DIAMETER_LIMIT
+    assert report.component_count == sizes.size
+    assert report.largest_component_fraction == sizes[0] / g.n
+    assert (report.diameter_lower, report.diameter_upper) == diameter_bounds(fresh)
+    assert len(calls) == 2
+
+
 # -- assortativity ------------------------------------------------------------
 
 

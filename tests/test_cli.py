@@ -180,6 +180,19 @@ def test_radius_beyond_the_poincare_disk_exits_one(tmp_path, capsys, size_flags)
     assert not out.exists()
 
 
+def test_sinh_overflow_exits_one_without_a_file(tmp_path, capsys):
+    out = tmp_path / "x.edges"
+    code, stdout, stderr = run_cli(
+        capsys,
+        "generate", "--nodes", "100", "--radius", "10", "--alpha", "200",
+        "--output", str(out),
+    )
+    assert code == 1
+    assert stderr.startswith("error: alpha*R/2 = 1000 is too large")
+    assert stdout == ""
+    assert not out.exists()
+
+
 def test_infinite_gamma_exits_one_without_a_file(tmp_path, capsys):
     out = tmp_path / "x.edges"
     code, stdout, stderr = run_cli(

@@ -148,6 +148,15 @@ def test_radial_inverse_cdf_domain():
         radial_inverse_cdf(0.5, 1.0, 0.0)
 
 
+def test_sinh_overflow_is_a_domain_error():
+    # sinh(alpha*R/2) overflows a float from alpha*R/2 of about 710 on
+    with pytest.raises(ParameterDomainError, match=r"alpha\*R/2 = 1000 is too large"):
+        radial_inverse_cdf(0.5, 200.0, 10.0)
+    with pytest.raises(ParameterDomainError, match=r"alpha\*R/2"):
+        generate(GeneratorParams(n=100, radius=10.0, alpha=200.0))
+    assert radial_inverse_cdf(1.0, 140.0, 10.0) == pytest.approx(10.0)
+
+
 def test_sample_points_deterministic_and_in_range():
     a = sample_points(5000, 0.8, 14.0, seed=42)
     b = sample_points(5000, 0.8, 14.0, seed=42)

@@ -1,7 +1,10 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,90 @@ def test_library_code_never_calls_print():
             ):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"print called in library code: {calls}"
+
+
+BLAS_CALLS = {"dot", "matmul", "vdot", "inner", "einsum", "tensordot"}
+
+
+def blas_uses(tree):
+    """(line, what) of each `@`, call of a BLAS-backed numpy routine, or use
+    of `linalg` in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in BLAS_CALLS:
+                yield node.lineno, name
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            yield node.lineno, "linalg"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            for name in names:
+                if set(name.split(".")) & (BLAS_CALLS | {"linalg"}):
+                    yield node.lineno, f"import {name}"
+
+
+def test_blas_scan_finds_every_form():
+    source = (
+        "import numpy.linalg\nfrom numpy import dot\n"
+        "a @ b\na @= b\nnp.einsum('i,i', a, b)\ninner(a, b)\nnp.linalg.norm(a)\n"
+        "inner = 1.0\n"
+    )
+    found = [what for _, what in blas_uses(ast.parse(source))]
+    assert sorted(found) == sorted(
+        ["import numpy.linalg", "import dot", "@", "@", "einsum", "inner", "linalg"]
+    )
+
+
+def test_library_code_calls_no_blas_routine():
+    # results must not depend on BLAS or its thread count, and the command
+    # line starts OpenBLAS with one thread (see hrgen.cli)
+    uses = []
+    for path in sorted((ROOT / "src" / "hrgen").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses += [f"{path.name}:{line} {what}" for line, what in blas_uses(tree)]
+    assert not uses, f"BLAS used in library code: {uses}"
+
+
+def run_python(script, **env):
+    """Runs `script` in a fresh interpreter with hrgen on the path; its stdout."""
+    full_env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    full_env.pop("OPENBLAS_NUM_THREADS", None)
+    full_env.update(env)
+    done = subprocess.run([sys.executable, "-c", script], env=full_env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_package_import_loads_no_numpy():
+    out = run_python(
+        "import sys, hrgen\n"
+        "print('numpy' in sys.modules)\n"
+        "from hrgen import *\n"
+        "print(all(globals()[name] is getattr(hrgen, name) for name in hrgen.__all__))\n"
+    )
+    assert out.split() == ["False", "True"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+def test_cli_starts_numpy_with_one_thread():
+    out = run_python(
+        "import os\n"
+        "from hrgen.cli import main\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    assert out.split() == ["1", "1"]
+
+
+def test_cli_keeps_the_blas_threads_the_user_set():
+    out = run_python(
+        "import os\n"
+        "from hrgen.cli import main\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+        OPENBLAS_NUM_THREADS="2",
+    )
+    assert out.split() == ["2"]
