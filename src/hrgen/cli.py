@@ -7,6 +7,8 @@ Subcommands:
 
 Parameter errors exit with status 1 and a message on stderr; the STATS line
 of `generate` is tab-separated key=value pairs for easy scraping. Its
+`threads` is the worker count of the edge phase and the writer, and `pinned`
+is 1 when each of the edge phase's workers ran on a CPU of its own. Its
 `peak_rss_mb`, the process's peak resident set, is left out where
 /proc/self/status does not exist.
 
@@ -42,7 +44,12 @@ def _add_model_flags(p, with_output):
     group_g.add_argument("--gamma", type=float, help="degree power-law exponent (> 2)")
     group_g.add_argument("--alpha", type=float, help="radial growth parameter (> 0.5)")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="edge-phase worker threads")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker threads for the edge phase and the file writer",
+    )
     p.add_argument(
         "--long-range-fraction",
         type=float,
@@ -109,14 +116,16 @@ def _cmd_generate(args) -> int:
         header = EdgeListHeader(
             n=graph.n, m=graph.m, seed=params.seed, radius=stats.radius, alpha=stats.alpha
         )
-        write_edgelist(graph, args.output, header)
+        write_edgelist(graph, args.output, header, threads=params.threads)
     else:
-        write_metis(graph, args.output)
+        write_metis(graph, args.output, threads=params.threads)
     fields = [
         ("n", stats.n),
         ("m", stats.m),
         ("R", f"{stats.radius:.10g}"),
         ("alpha", f"{stats.alpha:.10g}"),
+        ("threads", stats.threads),
+        ("pinned", int(stats.pinned)),
         ("t_sample_ns", stats.t_sample_ns),
         ("t_build_ns", stats.t_build_ns),
         ("t_edges_ns", stats.t_edges_ns),

@@ -20,14 +20,18 @@ takes about 56 bytes per vertex, and each querying thread one scan block of
 about 5 MB (`quadtree._SCAN_BLOCK`). The tree is dropped before the
 blocks' keys are joined into one array, which holds the keys twice, 16
 bytes per edge, for a moment. Shortcuts hold a second copy while they are
-merged in. `graphio.write_edgelist` then needs about 15 MB, whatever m is.
+merged in. `graphio.write_edgelist` then needs about 10 MB per worker,
+whatever m is: each worker formats one block of 131,072 lines, and at most
+2 * threads blocks (about 1.6 MB of text each) are in flight, formatted or
+being formatted, until the calling thread writes them in order. At n = 10^5,
+k = 64 with two workers that is 19 MB on top of the 27 MB of keys, below
+the 16 bytes per edge of the join.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,7 @@ from .geometry import (
     within_distance,
 )
 from .graph import MAX_N, Graph
+from .pool import WorkerPool
 from .quadtree import PolarQuadtree
 
 # The edge phase queries the tree's stored points in blocks: slices of the
@@ -136,7 +141,8 @@ class GenerationStats:
     """Phase timings (nanoseconds) and basic facts about one run.
 
     `t_long_range_ns` times the shortcut sampler; it is 0 when no shortcuts
-    are requested.
+    are requested. `pinned` tells whether the edge phase's `threads`
+    workers each ran pinned to a CPU of their own (see `pool.WorkerPool`).
     """
 
     n: int
@@ -147,6 +153,8 @@ class GenerationStats:
     t_build_ns: int
     t_edges_ns: int
     t_long_range_ns: int
+    threads: int
+    pinned: bool
 
     @property
     def t_total_ns(self):
@@ -187,9 +195,10 @@ def _edge_keys(tree, n, radius, lo, hi):
     return key
 
 
-def _query_edge_keys(tree, n, radius, threads):
+def _query_edge_keys(tree, n, radius, pool):
     """Edge keys of every stored point's query, one array per block, in
-    block order. Blocks are band-aligned slices of the storage order."""
+    block order, queried in `pool`. Blocks are band-aligned slices of the
+    storage order."""
     ptr = tree.band_ptr.tolist()
     blocks = [
         (lo, min(lo + _EDGE_CHUNK, end))
@@ -197,8 +206,7 @@ def _query_edge_keys(tree, n, radius, threads):
         for lo in range(start, end, _EDGE_CHUNK)
     ]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda block: _edge_keys(tree, n, radius, *block), blocks))
+    return list(pool.map(lambda block: _edge_keys(tree, n, radius, *block), blocks))
 
 
 def generate_with_stats(params: GeneratorParams):
@@ -220,7 +228,8 @@ def generate_with_stats(params: GeneratorParams):
     del coords
     t2 = time.perf_counter_ns()
 
-    blocks = _query_edge_keys(tree, n, model.R, params.threads)
+    with WorkerPool(params.threads) as pool:
+        blocks = _query_edge_keys(tree, n, model.R, pool)
     del tree
     keys = np.concatenate(blocks)
     del blocks
@@ -241,6 +250,8 @@ def generate_with_stats(params: GeneratorParams):
         t_build_ns=t2 - t1,
         t_edges_ns=t3 - t2,
         t_long_range_ns=t_long_range_ns,
+        threads=params.threads,
+        pinned=pool.pinned,
     )
     return graph, stats
 

@@ -4,17 +4,21 @@ The native format is an edge list: one optional header line
 `# n m seed R alpha`, then one `u v` line per edge with 0-based ids, u < v,
 sorted lexicographically. Identical graphs and headers produce byte-identical
 files. A METIS adjacency writer is included for interoperability. Both
-writers build their digits in numpy and write the file in binary mode.
+writers build their digits in numpy, one block at a time, and write the file
+in binary mode; a `WorkerPool` of `threads` workers formats the blocks and the
+calling thread writes them in order, so the bytes never depend on `threads`.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, pair_keys
+from .pool import WorkerPool
 
 # Writers format this many edge lines, or METIS values, per block: a block
 # of lines is a digit matrix and a mask of 2 * _WRITE_BLOCK bytes per decimal
@@ -65,19 +69,45 @@ def _format_ids(ids, seps, *, blank_zero=False):
     return text[keep]
 
 
-def write_edgelist(graph: Graph, path, header: EdgeListHeader | None = None):
+def _check_threads(threads):
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+
+
+def _write_blocks(fh, fmt, count, threads):
+    """Writes the bytes fmt(0), ..., fmt(count - 1) to `fh` in order, as
+    formatted by a `WorkerPool` of `threads` workers, with at most
+    2 * threads blocks in flight, so memory stays independent of `count`."""
+    with WorkerPool(threads) as pool:
+        pending = deque()
+        for i in range(count):
+            pending.append(pool.submit(fmt, i))
+            if len(pending) == 2 * threads:
+                fh.write(pending.popleft().result())
+        while pending:
+            fh.write(pending.popleft().result())
+
+
+def write_edgelist(
+    graph: Graph, path, header: EdgeListHeader | None = None, threads: int = 1
+):
     """Writes the edges of `graph.keys` one block at a time, so the file
-    costs no memory per edge. Raises ValueError, before opening the file, on
-    a header whose n or m is not the graph's."""
+    costs no memory per edge; `threads` workers format the blocks. Raises
+    ValueError, before opening the file, on threads < 1 and on a header
+    whose n or m is not the graph's."""
+    _check_threads(threads)
     if header is not None and (header.n, header.m) != (graph.n, graph.m):
         raise ValueError(f"header n, m = {header.n}, {header.m} contradicts the graph")
     seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), min(graph.m, _WRITE_BLOCK))
+
+    def block(i):
+        ids = graph.edge_array(i * _WRITE_BLOCK, (i + 1) * _WRITE_BLOCK).ravel()
+        return _format_ids(ids, seps[: ids.size])
+
     with open(path, "wb") as fh:
         if header is not None:
             fh.write(header.line().encode())
-        for lo in range(0, graph.m, _WRITE_BLOCK):
-            ids = graph.edge_array(lo, lo + _WRITE_BLOCK).ravel()
-            fh.write(_format_ids(ids, seps[: ids.size]))
+        _write_blocks(fh, block, -(-graph.m // _WRITE_BLOCK), threads)
 
 
 def _parse_pairs(buf):
@@ -181,15 +211,21 @@ def read_edgelist(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_metis(graph: Graph, path):
+def write_metis(graph: Graph, path, threads: int = 1):
     """METIS adjacency format: header `n m`, then per-vertex neighbor lists
-    with 1-based ids; a 0 entry writes an isolated vertex's empty line."""
+    with 1-based ids; a 0 entry writes an isolated vertex's empty line.
+    `threads` workers format the blocks. Raises ValueError, before opening
+    the file, on threads < 1."""
+    _check_threads(threads)
     deg = graph.degrees()
     values = np.insert(graph.indices + 1, graph.indptr[:-1][deg == 0], 0)
     seps = np.full(values.size, ord(" "), dtype=np.uint8)
     seps[np.cumsum(np.maximum(deg, 1)) - 1] = ord("\n")
+
+    def block(i):
+        at = slice(i * _WRITE_BLOCK, (i + 1) * _WRITE_BLOCK)
+        return _format_ids(values[at], seps[at], blank_zero=True)
+
     with open(path, "wb") as fh:
         fh.write(f"{graph.n} {graph.m}\n".encode())
-        for lo in range(0, values.size, _WRITE_BLOCK):
-            hi = lo + _WRITE_BLOCK
-            fh.write(_format_ids(values[lo:hi], seps[lo:hi], blank_zero=True))
+        _write_blocks(fh, block, -(-values.size // _WRITE_BLOCK), threads)

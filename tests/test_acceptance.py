@@ -293,7 +293,8 @@ def test_10_long_range_shortcuts(capsys):
 
 
 def test_11_thread_count_determinism(capsys, tmp_path):
-    """The written edge-list file is byte-identical for 1 and 4 threads."""
+    """The written edge-list file is byte-identical for 1 and 4 threads,
+    each generating and writing with that many workers."""
     blobs = []
     for threads in (1, 4):
         g, s = generate_with_stats(
@@ -305,6 +306,7 @@ def test_11_thread_count_determinism(capsys, tmp_path):
         write_edgelist(
             g, path,
             EdgeListHeader(n=g.n, m=g.m, seed=0, radius=s.radius, alpha=s.alpha),
+            threads=threads,
         )
         blobs.append(path.read_bytes())
     report(

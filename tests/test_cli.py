@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrgen import GeneratorParams, cli, generate, read_edgelist
+from hrgen import GeneratorParams, cli, generate, graphio, read_edgelist
 from hrgen.analysis import AnalysisReport
 from hrgen.cli import main
 from hrgen.graph import MAX_N
@@ -46,23 +46,28 @@ def test_generate_writes_readable_file(tmp_path, capsys):
     assert int(stats["m"]) == graph.m
 
 
-def test_generate_byte_identical_across_threads(tmp_path, capsys):
-    files = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"t{threads}.edges"
-        code, _, _ = run_cli(
-            capsys,
-            "generate",
-            "--nodes", "5000",
-            "--avg-degree", "10",
-            "--gamma", "2.5",
-            "--seed", "3",
-            "--threads", threads,
-            "--output", str(out),
-        )
-        assert code == 0
-        files.append(out.read_bytes())
-    assert files[0] == files[1]
+def test_generate_byte_identical_across_threads(tmp_path, capsys, monkeypatch):
+    # small write blocks, so the writers format many blocks in the pool
+    monkeypatch.setattr(graphio, "_WRITE_BLOCK", 2000)
+    for fmt in ("edgelist", "metis"):
+        files = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"t{threads}.{fmt}"
+            code, stdout, _ = run_cli(
+                capsys,
+                "generate",
+                "--nodes", "5000",
+                "--avg-degree", "10",
+                "--gamma", "2.5",
+                "--seed", "3",
+                "--threads", threads,
+                "--format", fmt,
+                "--output", str(out),
+            )
+            assert code == 0
+            assert stats_fields(stdout)["threads"] == threads
+            files.append(out.read_bytes())
+        assert files[0] == files[1] == files[2]
 
 
 def test_generate_metis_output(tmp_path, capsys):
@@ -220,7 +225,7 @@ def test_n_beyond_int64_keys_exits_one_without_a_file(tmp_path, capsys):
 
 
 STATS_KEYS = [
-    "n", "m", "R", "alpha", "t_sample_ns", "t_build_ns", "t_edges_ns",
+    "n", "m", "R", "alpha", "threads", "pinned", "t_sample_ns", "t_build_ns", "t_edges_ns",
     "t_long_range_ns", "t_write_ns",
 ]
 
@@ -245,6 +250,20 @@ def test_stats_line_ends_with_write_time_and_peak_rss(tmp_path, capsys):
     assert list(stats) == STATS_KEYS + ["peak_rss_mb"]
     assert int(stats["t_write_ns"]) > 0
     assert float(stats["peak_rss_mb"]) > 0.0
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stats_line_reports_threads_and_pinning(tmp_path, capsys, threads):
+    code, stdout, _ = run_cli(
+        capsys,
+        "generate", "--nodes", "300", "--avg-degree", "6", "--gamma", "3",
+        "--threads", threads, "--output", str(tmp_path / "g.edges"),
+    )
+    assert code == 0
+    stats = stats_fields(stdout)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 0
+    assert stats["threads"] == threads
+    assert stats["pinned"] == str(int(1 < int(threads) == cpus))
 
 
 def test_stats_line_omits_peak_rss_without_proc(tmp_path, capsys, monkeypatch):

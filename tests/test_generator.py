@@ -412,7 +412,8 @@ def test_generation_with_shortcuts_builds_the_csr_once(monkeypatch):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_generation_and_write_stay_below_32_bytes_per_edge(tmp_path, threads):
-    # each edge is held once, as its key, from the query to the file
+    # each edge is held once, as its key, from the query to the file, and
+    # the writer's blocks in flight cost memory per worker, not per edge
     params = GeneratorParams(
         n=100_000,
         avg_degree=64.0,
@@ -424,7 +425,7 @@ def test_generation_and_write_stay_below_32_bytes_per_edge(tmp_path, threads):
     tracemalloc.start()
     try:
         graph, _ = generate_with_stats(params)
-        write_edgelist(graph, tmp_path / "g.edges")
+        write_edgelist(graph, tmp_path / "g.edges", threads=threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
