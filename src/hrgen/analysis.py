@@ -7,7 +7,8 @@ unless the component is small enough for the exact all-pairs computation.
 Memory: besides the keys and the CSR view (8 bytes per edge each), the
 triangle kernel holds its sorted oriented keys and their order by head (16
 bytes per edge) plus one block of wedges, and the component labelling one
-block of neighbour labels; its result stays on the graph (8 bytes per vertex).
+block of neighbour labels. Both results stay on the graph from their first
+use (`_memo`), 8 bytes per vertex each, so `analyze` computes each once.
 `analyze` at n = 10^5 (k = 16, gamma = 3) peaks at 43 bytes per edge in all
 under tracemalloc, keys and view included.
 """
@@ -164,22 +165,23 @@ def _close_wedges(oriented, ptr, tri, pos, a, b, count):
     np.add.at(tri, closing[hit] % n, 1)
 
 
-def triangle_count(graph: Graph, out=None) -> int:
-    """Number of triangles, each counted once. With `out`, a float array of
-    n, the triangles through each vertex are written to it as well."""
-    tri = _vertex_triangles(graph)
-    if out is not None:
-        out[...] = tri
-    return int(round(tri.sum() / 3.0))
+def _memo(graph, name, compute):
+    """`compute(graph)`, computed on first use and kept on the graph, as its CSR view is."""
+    cache = vars(graph)
+    if name not in cache:
+        cache[name] = compute(graph)
+    return cache[name]
+
+
+def triangle_count(graph: Graph) -> int:
+    """Number of triangles, each counted once."""
+    return int(round(_memo(graph, "_triangles", _vertex_triangles).sum() / 3.0))
 
 
 def global_clustering(graph: Graph) -> float:
     """Transitivity: 3 * triangles / connected triples. Zero when the graph
     has no triple at all."""
-    return _global_clustering(graph, triangle_count(graph))
-
-
-def _global_clustering(graph, triangles):
+    triangles = triangle_count(graph)
     deg = graph.degrees().astype(np.int64)
     triples = int(np.sum(deg * (deg - 1) // 2))
     if triples == 0:
@@ -190,12 +192,9 @@ def _global_clustering(graph, triangles):
 def local_clustering(graph: Graph):
     """Per-vertex clustering: triangles through v over pairs of neighbors
     of v; zero for degree < 2. Returned as a float array."""
-    return _local_clustering(graph, _vertex_triangles(graph))
-
-
-def _local_clustering(graph, tri):
     deg = graph.degrees().astype(np.int64)
     wedges = deg * (deg - 1) / 2.0
+    tri = _memo(graph, "_triangles", _vertex_triangles)
     return np.divide(tri, wedges, out=np.zeros(graph.n), where=wedges > 0)
 
 
@@ -206,11 +205,7 @@ def mean_local_clustering(graph: Graph) -> float:
     dominated by a few hubs; on heavy-tailed graphs the two can differ by
     several times.
     """
-    return _mean_local_clustering(graph, _vertex_triangles(graph))
-
-
-def _mean_local_clustering(graph, tri):
-    return float(_local_clustering(graph, tri).mean()) if graph.n else 0.0
+    return float(local_clustering(graph).mean()) if graph.n else 0.0
 
 
 def degree_assortativity(graph: Graph) -> float | None:
@@ -272,18 +267,9 @@ def component_labels(graph: Graph):
     return labels, np.bincount(labels, minlength=int(is_root.sum()))
 
 
-def _components(graph):
-    """`component_labels(graph)`, computed on first use and then kept on the
-    graph as its CSR view is, so `analyze` labels the components once."""
-    cache = vars(graph)
-    if "_components" not in cache:
-        cache["_components"] = component_labels(graph)
-    return cache["_components"]
-
-
 def connected_component_sizes(graph: Graph):
     """Component sizes, largest first."""
-    _, sizes = _components(graph)
+    _, sizes = _memo(graph, "_components", component_labels)
     return np.sort(sizes)[::-1].copy()
 
 
@@ -351,7 +337,7 @@ def diameter_bounds(graph: Graph):
     """
     if graph.n == 0:
         return 0, 0
-    labels, sizes = _components(graph)
+    labels, sizes = _memo(graph, "_components", component_labels)
     members = np.flatnonzero(labels == int(np.argmax(sizes)))
     if members.size <= 1:
         return 0, 0
@@ -414,8 +400,7 @@ def analyze(graph: Graph) -> AnalysisReport:
     """
     deg = graph.degrees()
     n, m = graph.n, graph.m
-    tri = np.empty(n)
-    triangles = triangle_count(graph, out=tri)
+    clustering = global_clustering(graph)  # first: the kernel runs in triangle_count
     sizes = connected_component_sizes(graph)
     lower, upper = diameter_bounds(graph)
     k_min = max(5, 2 * int(np.median(deg))) if n else 5
@@ -430,8 +415,8 @@ def analyze(graph: Graph) -> AnalysisReport:
         m=m,
         avg_degree=2.0 * m / n if n else 0.0,
         max_degree=int(deg.max()) if n else 0,
-        global_clustering=_global_clustering(graph, triangles),
-        mean_local_clustering=_mean_local_clustering(graph, tri),
+        global_clustering=clustering,
+        mean_local_clustering=mean_local_clustering(graph),
         degree_assortativity=degree_assortativity(graph),
         component_count=int(sizes.size),
         largest_component_fraction=float(sizes[0]) / n if n else 0.0,

@@ -84,6 +84,9 @@ class GeneratorParams:
     long_range_fraction: float = 0.0
 
     def __post_init__(self):
+        for name in ("n", "seed", "threads"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ParameterDomainError(f"{name} must be an integer")
         if not 1 <= self.n <= MAX_N:
             raise ParameterDomainError(f"n must be in [1, {MAX_N}]")
         if (self.avg_degree is None) == (self.radius is None):

@@ -41,11 +41,19 @@ def _checked_n(n):
     return n
 
 
+def _int64(a):
+    """`a` as an int64 array; ValueError if it has entries of a non-integer dtype."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids and edge keys must be integers, got {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 def pair_keys(n, u, v):
     """Unsorted keys min * n + max of endpoint arrays u, v (either way round);
-    ValueError on n > MAX_N, unequal shapes, ids outside [0, n) or self-loops."""
+    ValueError on n > MAX_N, unequal shapes, ids not integers in [0, n) or self-loops."""
     n = _checked_n(n)
-    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    u, v = _int64(u), _int64(v)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("endpoint arrays must be 1-d and of equal length")
     if u.size:
@@ -131,12 +139,6 @@ class Graph:
     def neighbors(self, v):
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
-    def has_edge(self, u, v):
-        lo, hi = min(u, v), max(u, v)
-        key = lo * self.n + hi if 0 <= lo < hi < self.n else -1
-        i = np.searchsorted(self.keys, key)
-        return i < self.m and self.keys[i] == key
-
     def edge_array(self, start=0, stop=None):
         """Edges start..stop - 1 (all by default) as a 2-column array with
         u < v, sorted lexicographically."""
@@ -150,10 +152,10 @@ class Graph:
         undirected edge in either orientation, or, with v omitted, from the
         edge keys min * n + max in u. An int64 key array is sorted in place
         and kept, so the edges are held once. Keys that already ascend skip
-        the sort. Raises ValueError on self-loops, duplicate edges, ids
-        outside [0, n) or n > MAX_N."""
+        the sort. Raises ValueError on a non-integer dtype, self-loops,
+        duplicate edges, ids outside [0, n) or n > MAX_N."""
         n = _checked_n(n)
-        keys = np.asarray(u, dtype=np.int64) if v is None else pair_keys(n, u, v)
+        keys = _int64(u) if v is None else pair_keys(n, u, v)
         if keys.ndim != 1:
             raise ValueError("edge keys must be 1-d")
         ascending = bool((keys[1:] > keys[:-1]).all())
@@ -170,9 +172,3 @@ class Graph:
         if not ascending and (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate edge")
         return cls(n=n, keys=keys)
-
-    @classmethod
-    def from_edges(cls, n, edges):
-        """Build from an iterable of (u, v) pairs; convenience for tests."""
-        u, v = np.asarray(list(edges) or np.empty((0, 2)), dtype=np.int64).T
-        return cls.from_edge_arrays(n, u, v)

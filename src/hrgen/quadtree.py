@@ -338,13 +338,6 @@ class PolarQuadtree:
 
     # -- introspection ------------------------------------------------------
 
-    def _cells(self):
-        """Leaf of every stored point, numbered row * 2**height + sector."""
-        n = 2**self._height
-        row = np.searchsorted(self.row_r[1:-1], self.p_r, side="right")
-        edges = np.arange(1, n) * (TWO_PI / n)
-        return row * n + np.searchsorted(edges, self.p_phi, side="right")
-
     def height(self):
         """Depth of the leaves (root alone has height 0)."""
         return self._height
@@ -354,9 +347,11 @@ class PolarQuadtree:
         below the leaves."""
         if not 0 <= depth <= self._height:
             return []
-        n, step = 2**depth, 2 ** (self._height - depth)
-        sizes = np.bincount(self._cells(), minlength=4**self._height)
-        sizes = sizes.reshape(n, step, n, step).sum(axis=(1, 3))
+        n = 2**depth
+        rows = self.row_r[:: 2 ** (self._height - depth)]
+        cell = n * np.searchsorted(rows[1:-1], self.p_r, side="right")
+        cell += np.searchsorted(np.arange(1, n) * (TWO_PI / n), self.p_phi, side="right")
+        sizes = np.bincount(cell, minlength=n * n).reshape(n, n)
         return [
             NodeView(depth, row, sector, int(size))
             for (row, sector), size in np.ndenumerate(sizes)
@@ -365,8 +360,3 @@ class PolarQuadtree:
     def leaves(self):
         """Views of all leaves, by row then sector."""
         return self.nodes_at_depth(self._height)
-
-    def leaf_point_ids(self, leaf):
-        """Vertex ids stored in a leaf, in angle order."""
-        mine = np.flatnonzero(self._cells() == leaf.row * 2**self._height + leaf.sector)
-        return self.p_id[mine[np.lexsort((self.p_id[mine], self.p_phi[mine]))]]

@@ -29,6 +29,19 @@ def poincare_distance(px, py, qx, qy):
     return 2.0 * math.asinh(d / math.sqrt(bp * bq))
 
 
+def from_edges(n, edges) -> Graph:
+    """Graph on n vertices from a list of (u, v) pairs."""
+    u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return Graph.from_edge_arrays(n, u, v)
+
+
+def has_edge(graph: Graph, u, v) -> bool:
+    """Whether the graph holds the edge {u, v}, by a search of its keys."""
+    key = min(u, v) * graph.n + max(u, v)
+    i = np.searchsorted(graph.keys, key)
+    return u != v and i < graph.m and graph.keys[i] == key
+
+
 def adjacency_sets(graph: Graph):
     return [set(graph.neighbors(v).tolist()) for v in range(graph.n)]
 
@@ -164,7 +177,7 @@ def gnp_graph(n, p, rng) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return Graph.from_edges(n, edges)
+    return from_edges(n, edges)
 
 
 def csr_lexsort(n, u, v):
@@ -187,7 +200,7 @@ def long_range_scalar(graph: Graph, fraction, seed) -> Graph:
     while len(added) < k:
         a, c = rng.integers(0, n, size=2).tolist()
         lo, hi = min(a, c), max(a, c)
-        if lo == hi or (lo, hi) in added or graph.has_edge(lo, hi):
+        if lo == hi or (lo, hi) in added or has_edge(graph, lo, hi):
             continue
         added[lo, hi] = None
     new = np.array(list(added), dtype=np.int64).reshape(-1, 2)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -33,18 +34,19 @@ from helpers import (
     components_brute,
     cores_brute,
     diameter_brute,
+    from_edges,
     gnp_graph,
     local_clustering_brute,
     transitivity_brute,
     triangles_brute,
 )
 
-TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+TRIANGLE = from_edges(3, [(0, 1), (1, 2), (0, 2)])
 # K4 minus the (2,3) edge: two triangles sharing the (0,1) edge
-DIAMOND = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-K4_PENDANT = Graph.from_edges(
+DIAMOND = from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+PATH4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+STAR = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+K4_PENDANT = from_edges(
     5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]
 )
 
@@ -58,15 +60,15 @@ def test_clustering_small_graphs():
     assert mean_local_clustering(TRIANGLE) == pytest.approx(1.0)
 
     assert triangle_count(DIAMOND) == 2
-    per_vertex = np.full(4, -1.0)
-    assert triangle_count(DIAMOND, out=per_vertex) == 2
+    deg = DIAMOND.degrees()
+    per_vertex = local_clustering(DIAMOND) * (deg * (deg - 1) / 2)
     assert per_vertex.tolist() == [2.0, 2.0, 1.0, 1.0]
     assert global_clustering(DIAMOND) == pytest.approx(0.75)
     assert mean_local_clustering(DIAMOND) == pytest.approx(5.0 / 6.0)
     assert local_clustering(DIAMOND) == pytest.approx([2 / 3, 2 / 3, 1.0, 1.0])
 
     assert global_clustering(PATH4) == 0.0
-    assert global_clustering(Graph.from_edges(2, [(0, 1)])) == 0.0
+    assert global_clustering(from_edges(2, [(0, 1)])) == 0.0
 
 
 def test_clustering_matches_brute_force():
@@ -124,6 +126,31 @@ def test_analyze_counts_triangles_once(monkeypatch):
     assert report.mean_local_clustering == mean_local_clustering(g)
 
 
+CLUSTERING = (triangle_count, global_clustering, local_clustering, mean_local_clustering)
+
+
+def test_clustering_routines_share_one_kernel_run(monkeypatch):
+    # on one graph the routines run the kernel once, in any order, and give
+    # what each gives on a graph of its own
+    calls = []
+    kernel = analysis._vertex_triangles
+
+    def counted(graph):
+        calls.append(graph)
+        return kernel(graph)
+
+    g = generate(GeneratorParams(n=500, avg_degree=6.0, gamma=3.0, seed=1))
+    want = [f(Graph(n=g.n, keys=g.keys)) for f in CLUSTERING]
+    monkeypatch.setattr(analysis, "_vertex_triangles", counted)
+    for order in itertools.permutations(range(len(CLUSTERING))):
+        calls.clear()
+        shared = Graph(n=g.n, keys=g.keys)
+        got = {i: CLUSTERING[i](shared) for i in order}
+        assert len(calls) == 1 and calls[0] is shared
+        for i, value in got.items():
+            assert np.array_equal(value, want[i]) and type(value) is type(want[i])
+
+
 def test_analyze_labels_components_once(monkeypatch):
     calls = []
     labelling = analysis.component_labels
@@ -154,7 +181,7 @@ def test_assortativity_small_graphs():
     assert degree_assortativity(STAR) == pytest.approx(-1.0)
     # regular graphs have zero degree variance at the endpoints
     assert degree_assortativity(TRIANGLE) is None
-    assert degree_assortativity(Graph.from_edges(3, [])) is None
+    assert degree_assortativity(from_edges(3, [])) is None
 
 
 def test_assortativity_matches_brute_force():
@@ -214,9 +241,9 @@ def test_component_labels_match_scipy(params, least):
 
 
 def test_component_labels_of_graphs_without_edges():
-    labels, sizes = component_labels(Graph.from_edges(0, []))
+    labels, sizes = component_labels(from_edges(0, []))
     assert labels.size == sizes.size == 0
-    labels, sizes = component_labels(Graph.from_edges(5, []))
+    labels, sizes = component_labels(from_edges(5, []))
     assert labels.tolist() == [0, 1, 2, 3, 4] and sizes.tolist() == [1] * 5
 
 
@@ -224,7 +251,7 @@ def test_component_labels_in_blocks_with_the_hub_last(monkeypatch):
     # a star on the last vertex and a path: blocks of 4 neighbour ids cut the
     # hub's row, which outlasts every block start
     edges = [(v, 39) for v in range(0, 30, 2)] + [(v, v + 2) for v in range(1, 35, 2)]
-    g = Graph.from_edges(40, edges)
+    g = from_edges(40, edges)
     monkeypatch.setattr(analysis, "_KEY_BLOCK", 4)
     labels, sizes = component_labels(g)
     want_labels, want_sizes = scipy_components(g)
@@ -234,7 +261,7 @@ def test_component_labels_in_blocks_with_the_hub_last(monkeypatch):
 def test_diameter_takes_the_lowest_of_two_largest_components():
     # a path 4-6-7 (diameter 2) and a triangle 2-3-5 (diameter 1) tie at three
     # vertices; the triangle holds the lower vertex, so its label comes first
-    g = Graph.from_edges(8, [(4, 6), (6, 7), (2, 3), (3, 5), (2, 5)])
+    g = from_edges(8, [(4, 6), (6, 7), (2, 3), (3, 5), (2, 5)])
     labels, sizes = component_labels(g)
     want_labels, want_sizes = scipy_components(g)
     assert np.array_equal(labels, want_labels) and np.array_equal(sizes, want_sizes)
@@ -245,9 +272,9 @@ def test_diameter_takes_the_lowest_of_two_largest_components():
 def test_core_numbers_small_graphs():
     assert core_numbers(K4_PENDANT).tolist() == [3, 3, 3, 3, 1]
     assert core_numbers(PATH4).tolist() == [1, 1, 1, 1]
-    cycle = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    cycle = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     assert core_numbers(cycle).tolist() == [2, 2, 2, 2, 2]
-    assert core_numbers(Graph.from_edges(3, [])).tolist() == [0, 0, 0]
+    assert core_numbers(from_edges(3, [])).tolist() == [0, 0, 0]
 
 
 def test_core_numbers_match_brute_force():
@@ -269,19 +296,19 @@ def test_bfs_matches_brute_force():
 
 @pytest.mark.parametrize("source", [-1, 4, 1.5, math.nan])
 def test_bfs_rejects_source_outside_the_graph(source):
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ParameterDomainError, match="source"):
         bfs_distances(path, source)
 
 
 def test_diameter_exact_small():
-    p5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    p5 = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     assert diameter_bounds(p5) == (4, 4)
     assert diameter_bounds(TRIANGLE) == (1, 1)
-    assert diameter_bounds(Graph.from_edges(1, [])) == (0, 0)
-    assert diameter_bounds(Graph.from_edges(0, [])) == (0, 0)
+    assert diameter_bounds(from_edges(1, [])) == (0, 0)
+    assert diameter_bounds(from_edges(0, [])) == (0, 0)
     # disconnected: diameter of the largest component only
-    two = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    two = from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert diameter_bounds(two) == (2, 2)
 
 
@@ -356,10 +383,10 @@ def test_analyze_collects_consistent_fields():
 
 
 def test_analyze_handles_degenerate_graphs():
-    empty = analyze(Graph.from_edges(0, []))
+    empty = analyze(from_edges(0, []))
     assert empty.n == 0 and empty.m == 0 and empty.avg_degree == 0.0
     assert empty.power_law_exponent is None
-    lone = analyze(Graph.from_edges(4, []))
+    lone = analyze(from_edges(4, []))
     assert lone.max_degree == 0
     assert lone.component_count == 4
     assert lone.degree_assortativity is None

@@ -29,7 +29,7 @@ from hrgen import generator
 from hrgen.geometry import TWO_PI, disk_weight, within_distance
 from hrgen.graph import MAX_N
 
-from helpers import gnp_graph, long_range_scalar
+from helpers import from_edges, gnp_graph, has_edge, long_range_scalar
 
 
 def radial_cdf(r, alpha, radius):
@@ -60,6 +60,20 @@ def test_params_require_exactly_one_of_each_pair():
         GeneratorParams(n=10, avg_degree=4.0, gamma=3.0, seed=2**64)
     with pytest.raises(ParameterDomainError):
         GeneratorParams(n=10, avg_degree=4.0, gamma=3.0, long_range_fraction=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, good, bad",
+    [("n", np.int64(100), 100.5), ("seed", np.uint64(7), 1.5), ("threads", np.int32(2), 1.5)],
+)
+def test_integer_fields_reject_other_numbers(field, good, bad):
+    # numpy integers pass; a float or a string fails in the constructor, not
+    # later inside sampling or the pool
+    base = dict(n=100, avg_degree=8.0, gamma=3.0)
+    assert generate(GeneratorParams(**{**base, field: good})).n == 100
+    for value in (bad, float(good), str(good)):
+        with pytest.raises(ParameterDomainError, match=f"{field} must be an integer"):
+            GeneratorParams(**{**base, field: value})
 
 
 @pytest.mark.parametrize(
@@ -378,7 +392,7 @@ def _near_complete_graph():
         (lambda: generate(GeneratorParams(n=2000, avg_degree=8.0, gamma=3.0, seed=5)), 0.05, 5),
         (lambda: generate(GeneratorParams(n=3000, avg_degree=6.0, gamma=2.2, seed=1)), 0.3, 9),
         (lambda: gnp_graph(60, 0.3, np.random.default_rng(1)), 0.5, 3),
-        (lambda: Graph.from_edges(5, [(0, 1)]), 0.99, 0),
+        (lambda: from_edges(5, [(0, 1)]), 0.99, 0),
         (_near_complete_graph, 0.045, 0),
         (_near_complete_graph, 0.045, 11),
     ],
@@ -509,7 +523,7 @@ def test_ties_are_decided_once_and_by_one_predicate():
     assert np.array_equal(from_v, from_w)
     pairs = np.arange(0, 2 * count, 2)
     assert np.array_equal(
-        [graph.has_edge(u, u + 1) for u in pairs.tolist()], from_v
+        [has_edge(graph, u, u + 1) for u in pairs.tolist()], from_v
     )
     # the ties fall on both sides
     assert 0 < from_v.sum() < count

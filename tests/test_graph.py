@@ -4,45 +4,65 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hrgen import Graph
-from hrgen.graph import MAX_N, index_dtype
+from hrgen.graph import MAX_N, index_dtype, pair_keys
 
-from helpers import csr_lexsort
+from helpers import csr_lexsort, from_edges, has_edge
 
 
 def test_empty_graph():
-    g = Graph.from_edges(0, [])
+    g = from_edges(0, [])
     assert g.n == 0 and g.m == 0
     assert g.edge_array().shape == (0, 2)
-    g = Graph.from_edges(3, [])
+    g = from_edges(3, [])
     assert g.n == 3 and g.m == 0
     assert g.degrees().tolist() == [0, 0, 0]
 
 
 def test_small_graph_accessors():
-    g = Graph.from_edges(4, [(2, 1), (0, 3), (1, 0)])
+    g = from_edges(4, [(2, 1), (0, 3), (1, 0)])
     assert g.n == 4
     assert g.m == 3
     assert g.degrees().tolist() == [2, 2, 1, 1]
     assert g.neighbors(0).tolist() == [1, 3]
     assert g.neighbors(2).tolist() == [1]
-    assert g.has_edge(1, 2) and g.has_edge(2, 1)
-    assert not g.has_edge(0, 2)
-    assert not g.has_edge(3, 3)
+    assert has_edge(g, 1, 2) and has_edge(g, 2, 1)
+    assert not has_edge(g, 0, 2)
+    assert not has_edge(g, 3, 3)
     # canonical order: u < v, rows sorted
     assert g.edge_array().tolist() == [[0, 1], [0, 3], [1, 2]]
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        Graph.from_edges(2, [(0, 2)])
+        from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
-        Graph.from_edges(2, [(-1, 0)])
+        from_edges(2, [(-1, 0)])
     with pytest.raises(ValueError):
-        Graph.from_edges(2, [(1, 1)])
+        from_edges(2, [(1, 1)])
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(0, 1), (1, 0)])  # same edge twice
+        from_edges(3, [(0, 1), (1, 0)])  # same edge twice
     with pytest.raises(ValueError):
         Graph.from_edge_arrays(-1, np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Graph.from_edge_arrays(3, [0.5], [1.9]),
+    lambda: Graph.from_edge_arrays(10, [1.5, 5]),
+    lambda: Graph.from_edge_arrays(3, np.array([0.0]), np.array([1], dtype=np.int64)),
+    lambda: Graph.from_edge_arrays(3, np.array([True]), np.array([False])),
+    lambda: pair_keys(10, [1.5], [5]),
+], ids=["pairs", "keys", "one-side", "bool", "pair_keys"])
+def test_non_integer_ids_rejected(build):
+    # not truncated to the nearest lower vertex id
+    with pytest.raises(ValueError, match="must be integers"):
+        build()
+
+
+def test_empty_input_of_any_dtype_accepted():
+    for empty in ([], np.zeros(0), np.zeros(0, dtype=np.int64)):
+        assert Graph.from_edge_arrays(3, empty, empty).m == 0
+        assert Graph.from_edge_arrays(3, empty).m == 0
+        assert pair_keys(3, empty, empty).dtype == np.int64
 
 
 @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
@@ -64,13 +84,13 @@ def test_edge_array_roundtrip(n, seed):
         nbrs = g.neighbors(vtx)
         assert np.all(np.diff(nbrs) > 0)
         for w in nbrs.tolist():
-            assert g.has_edge(vtx, w)
+            assert has_edge(g, vtx, w)
 
 
 def test_edge_input_order_is_irrelevant():
     e = [(4, 0), (1, 2), (0, 1), (3, 4)]
-    a = Graph.from_edges(5, e)
-    b = Graph.from_edges(5, list(reversed(e)))
+    a = from_edges(5, e)
+    b = from_edges(5, list(reversed(e)))
     assert np.array_equal(a.indices, b.indices)
     assert np.array_equal(a.indptr, b.indptr)
 
@@ -206,13 +226,13 @@ def test_from_edge_arrays_rejects_n_beyond_int64_keys(n):
 
 
 def test_graphs_compare_by_n_and_keys():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    g = from_edges(3, [(0, 1), (1, 2)])
     assert g == Graph(n=3, keys=g.keys.copy())
     assert not g != Graph(n=3, keys=g.keys.copy())
-    assert g != Graph.from_edges(4, [(0, 1), (1, 2)])
-    assert Graph.from_edges(3, []) != Graph.from_edges(4, [])  # keys equal, n not
-    assert g != Graph.from_edges(3, [(0, 1), (0, 2)])
-    assert g != Graph.from_edges(3, [(0, 1)])
+    assert g != from_edges(4, [(0, 1), (1, 2)])
+    assert from_edges(3, []) != from_edges(4, [])  # keys equal, n not
+    assert g != from_edges(3, [(0, 1), (0, 2)])
+    assert g != from_edges(3, [(0, 1)])
     assert g != (3, g.keys) and g != "graph"
     assert g.__eq__(g.keys) is NotImplemented
 
@@ -220,4 +240,4 @@ def test_graphs_compare_by_n_and_keys():
 def test_graph_is_unhashable():
     # it holds a mutable array
     with pytest.raises(TypeError):
-        hash(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        hash(from_edges(3, [(0, 1), (1, 2)]))

@@ -19,7 +19,7 @@ from hrgen import (
 from hrgen import graphio
 from hrgen.graph import MAX_N
 
-from helpers import write_edgelist_lines, write_metis_lines
+from helpers import from_edges, write_edgelist_lines, write_metis_lines
 
 
 def test_header_line_format():
@@ -28,7 +28,7 @@ def test_header_line_format():
 
 
 def test_roundtrip_with_header(tmp_path):
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 4)])
+    g = from_edges(5, [(0, 1), (1, 2), (0, 4)])
     h = EdgeListHeader(n=5, m=3, seed=0, radius=8.0, alpha=1.0)
     path = tmp_path / "g.edges"
     write_edgelist(g, path, header=h)
@@ -55,7 +55,7 @@ def test_header_from_numpy_floats_roundtrips(tmp_path):
 
 
 def test_roundtrip_without_header(tmp_path):
-    g = Graph.from_edges(6, [(2, 5), (0, 3)])
+    g = from_edges(6, [(2, 5), (0, 3)])
     path = tmp_path / "plain.edges"
     write_edgelist(g, path)
     back, h = read_edgelist(path)
@@ -66,7 +66,7 @@ def test_roundtrip_without_header(tmp_path):
 
 
 def test_empty_graph_roundtrip(tmp_path):
-    g = Graph.from_edges(0, [])
+    g = from_edges(0, [])
     path = tmp_path / "empty.edges"
     write_edgelist(g, path)
     back, h = read_edgelist(path)
@@ -74,7 +74,7 @@ def test_empty_graph_roundtrip(tmp_path):
 
 
 def test_file_is_sorted_and_stable(tmp_path):
-    g = Graph.from_edges(4, [(3, 1), (2, 0), (0, 1)])
+    g = from_edges(4, [(3, 1), (2, 0), (0, 1)])
     p1, p2 = tmp_path / "a", tmp_path / "b"
     write_edgelist(g, p1)
     write_edgelist(g, p2)
@@ -197,7 +197,7 @@ def test_generated_graph_roundtrip(tmp_path):
 
 
 def test_metis_format(tmp_path):
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
     path = tmp_path / "g.metis"
     write_metis(g, path)
     lines = path.read_text().splitlines()
@@ -243,7 +243,7 @@ def test_metis_digit_counts_change_inside_a_block(tmp_path, block):
 
 @pytest.mark.parametrize("dn, dm", [(1, 1), (1, 0), (0, 1), (-1, 0)])
 def test_header_contradicting_graph_rejected(tmp_path, dn, dm):
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = from_edges(4, [(0, 1), (2, 3)])
     h = EdgeListHeader(n=g.n + dn, m=g.m + dm, seed=0, radius=8.0, alpha=1.0)
     path = tmp_path / "bad.edges"
     with pytest.raises(ValueError, match="contradicts"):

@@ -42,6 +42,17 @@ def storage_rank(tree, phi, r):
     return rank
 
 
+def leaf_members(tree, phi, r):
+    """Ids of the points in each leaf, by row then sector: a point's row by
+    `searchsorted` on `row_r`, its sector on the sector edges."""
+    cells = 2 ** tree.height()
+    row = np.searchsorted(tree.row_r[1:-1], r, side="right")
+    sector = np.searchsorted(np.arange(1, cells) * (TWO_PI / cells), phi, side="right")
+    leaf = row * cells + sector
+    order = np.argsort(leaf, kind="stable")
+    return np.split(order, np.searchsorted(leaf[order], np.arange(1, cells * cells)))
+
+
 def brute_after_ids(tree, phi, r, qid, radius):
     """Points stored after point `qid` that the predicate accepts, by a
     linear scan."""
@@ -200,8 +211,7 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     width = TWO_PI / n_rows
     leaves = tree.leaves()
     assert len(leaves) == 4**h
-    for leaf in leaves:
-        got = tree.leaf_point_ids(leaf)
+    for leaf, got in zip(leaves, leaf_members(tree, phi, r)):
         assert got.size == leaf.size
         assert np.all(row_r[leaf.row] <= r[got])
         assert np.all(r[got] < row_r[leaf.row + 1])
@@ -267,13 +277,13 @@ def test_build_order_equals_lexsort_oracle(case, ties, capacity):
 
 
 def test_duplicate_points_share_one_cell():
-    tree = PolarQuadtree.build(
-        np.full(40, 1.0), np.full(40, 0.5), alpha=1.0, max_r=0.9, capacity=1
-    )
+    phi, r = np.full(40, 1.0), np.full(40, 0.5)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.9, capacity=1)
     assert len(tree) == 40 and tree.height() == 3
-    [leaf] = [lf for lf in tree.leaves() if lf.size]
-    assert leaf.size == 40
-    assert np.array_equal(tree.leaf_point_ids(leaf), np.arange(40))
+    members = leaf_members(tree, phi, r)
+    assert [leaf.size for leaf in tree.leaves()] == [ids.size for ids in members]
+    [ids] = [ids for ids in members if ids.size]
+    assert np.array_equal(ids, np.arange(40))
     # the first of the copies sees the 39 others
     assert np.array_equal(query(tree, 0, 1e-6), np.arange(1, 40))
     # queried from its own points, the tree reports each pair once
@@ -505,14 +515,4 @@ def test_tree_shape_accounting():
     assert len(leaves) == 64
     assert sum(leaf.size for leaf in leaves) == 2000
     assert tree.nodes_at_depth(4) == []
-    ids = np.concatenate([tree.leaf_point_ids(leaf) for leaf in leaves])
-    assert np.array_equal(np.sort(ids), np.arange(2000))
-
-
-def test_leaf_point_ids_in_angle_order():
-    rng = np.random.default_rng(9)
-    phi, r = random_points(rng, 300)
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=16)
-    for leaf in tree.leaves():
-        got = tree.leaf_point_ids(leaf)
-        assert np.all(np.diff(phi[got]) >= 0)
+    assert [leaf.size for leaf in leaves] == [ids.size for ids in leaf_members(tree, phi, r)]

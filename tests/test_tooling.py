@@ -133,3 +133,36 @@ def test_cli_keeps_the_blas_threads_the_user_set():
         OPENBLAS_NUM_THREADS="2",
     )
     assert out.split() == ["2"]
+
+
+def unreferenced_members(class_tree, class_name, trees):
+    """Non-underscore methods and properties of `class_name` in a parsed
+    module that no attribute access in the parsed `trees` names."""
+    [cls] = [node for node in ast.walk(class_tree)
+             if isinstance(node, ast.ClassDef) and node.name == class_name]
+    members = {node.name for node in cls.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return members - used
+
+
+def test_member_scan_counts_attribute_uses_only():
+    source = (
+        "class A:\n    def f(self): pass\n    @property\n    def g(self): pass\n"
+        "    @classmethod\n    def h(cls): pass\n    def _i(self): pass\n"
+        "A().g\nA.h()\nf = 1\n"
+    )
+    tree = ast.parse(source)
+    assert unreferenced_members(tree, "A", [tree]) == {"f"}
+
+
+@pytest.mark.parametrize("module, class_name", [("graph", "Graph"), ("quadtree", "PolarQuadtree")])
+def test_public_members_have_callers_outside_the_tests(module, class_name):
+    # a method that only the tests call belongs in tests/helpers.py
+    paths = sorted((ROOT / "src" / "hrgen").glob("*.py"))
+    paths += [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+              if not p.name.startswith("test_")]
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    defining = ast.parse((ROOT / "src" / "hrgen" / f"{module}.py").read_text())
+    assert not unreferenced_members(defining, class_name, trees)
