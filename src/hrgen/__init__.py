@@ -24,8 +24,8 @@ _EXPORTS = {
         "generate", "generate_brute_force", "generate_with_stats", "sample_points",
     ),
     "geometry": (
-        "ModelParams", "alpha_from_gamma", "expected_avg_degree", "radial_inverse_cdf",
-        "target_radius", "to_native_radius", "to_poincare_radius",
+        "alpha_from_gamma", "expected_avg_degree", "poincare_image", "radial_inverse_cdf",
+        "target_radius", "to_poincare_radius",
     ),
     "graph": ("Graph",),
     "graphio": ("EdgeListHeader", "read_edgelist", "write_edgelist", "write_metis"),

@@ -33,6 +33,7 @@ from .analysis import AnalysisReport, analyze
 from .errors import ParameterDomainError
 from .generator import GeneratorParams, generate_with_stats
 from .graphio import EdgeListHeader, read_edgelist, write_edgelist, write_metis
+from .pool import check_threads
 
 
 def _add_model_flags(p, with_output):
@@ -172,6 +173,7 @@ def _grid_runs(args):
     gammas = _parse_list(args.gamma_list, float)
     if args.reps < 1:
         raise ParameterDomainError("--reps must be at least 1")
+    check_threads(args.threads)
     for n in nodes:
         for k in degrees:
             for g in gammas:

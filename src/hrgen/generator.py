@@ -5,19 +5,20 @@ on [0, 2pi), radii from the density alpha*sinh(alpha*r)/(cosh(alpha*R)-1).
 Two vertices are adjacent iff their hyperbolic distance is strictly below R,
 which yields a power-law degree distribution with exponent 2*alpha + 1.
 
-`generate` works in the Poincare disk: the hyperbolic neighborhood ball of
-each vertex is an ordinary Euclidean circle there, so the edge set comes out
-of range queries against a polar quadtree instead of all-pairs distance
-tests. Each vertex asks only for the vertices stored after it in the
-tree, so every edge is found once. `generate_brute_force` is the quadratic
-reference implementation used to validate it. Both decide every pair with
-`geometry.within_distance`, on the same coordinates and weights.
+`generate` samples native coordinates and queries a polar quadtree over
+their Poincare images: the hyperbolic neighborhood ball of each vertex is an
+ordinary Euclidean circle there, so the edge set comes out of range queries
+instead of all-pairs distance tests. Each vertex asks only for the vertices
+stored after it in the tree, so every edge is found once.
+`generate_brute_force` is the quadratic reference implementation used to
+validate it. Both decide every pair with `geometry.within_distance`, on the
+same images and weights from `geometry.poincare_image`.
 
 Memory: `generate` holds each edge once, as its 8-byte key, from the query
-to the returned graph. The sampled coordinates are freed once the tree is
-built, and the query reads the tree's own points: while it runs, the tree
-takes about 56 bytes per vertex, and each querying thread one scan block of
-about 5 MB (`quadtree._SCAN_BLOCK`). The tree is dropped before the
+to the returned graph. The sampled coordinates, 16 bytes per vertex, are
+freed once the tree is built; the query reads the Poincare images that the
+tree stores, about 56 bytes per vertex, and each querying thread one scan
+block of about 5 MB (`quadtree._SCAN_BLOCK`). The tree is dropped before the
 blocks' keys are joined into one array, which holds the keys twice, 16
 bytes per edge, for a moment. Shortcuts hold a second copy while they are
 merged in. `graphio.write_edgelist` then needs about 10 MB per worker,
@@ -39,16 +40,15 @@ import numpy as np
 from .errors import InfeasibleParametersError, ParameterDomainError
 from .geometry import (
     TWO_PI,
-    ModelParams,
     alpha_from_gamma,
-    disk_weight,
+    poincare_image,
     radial_inverse_cdf,
     target_radius,
     to_poincare_radius,
     within_distance,
 )
 from .graph import MAX_N, Graph
-from .pool import WorkerPool
+from .pool import WorkerPool, check_threads
 from .quadtree import PolarQuadtree
 
 # The edge phase queries the tree's stored points in blocks: slices of the
@@ -84,7 +84,8 @@ class GeneratorParams:
     long_range_fraction: float = 0.0
 
     def __post_init__(self):
-        for name in ("n", "seed", "threads"):
+        check_threads(self.threads)
+        for name in ("n", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ParameterDomainError(f"{name} must be an integer")
         if not 1 <= self.n <= MAX_N:
@@ -105,15 +106,13 @@ class GeneratorParams:
             raise ParameterDomainError("alpha must be finite and exceed 0.5")
         if not 0 <= self.seed < 2**64:
             raise ParameterDomainError("seed must be a 64-bit unsigned integer")
-        if self.threads < 1:
-            raise ParameterDomainError("threads must be at least 1")
         if not 0.0 <= self.long_range_fraction < 1.0:
             raise ParameterDomainError("long_range_fraction must be in [0, 1)")
 
-    def resolve(self) -> ModelParams:
-        """Fill in the derived model parameters (alpha from gamma, disk
-        radius from the average-degree target). Raises ParameterDomainError
-        from R = 37.98 on, where tanh(R/2) rounds to 1 and the rim is lost."""
+    def resolve(self) -> tuple[float, float]:
+        """The model's (alpha, R): alpha from gamma, the disk radius from the
+        average-degree target. Raises ParameterDomainError from R = 37.98 on,
+        where tanh(R/2) rounds to 1 and the rim is lost."""
         alpha = self.alpha if self.alpha is not None else alpha_from_gamma(self.gamma)
         radius = self.radius
         if radius is None:
@@ -122,18 +121,15 @@ class GeneratorParams:
             raise ParameterDomainError(
                 f"disk radius {radius:.10g} is too large: tanh(R/2) rounds to 1"
             )
-        return ModelParams(
-            n=self.n, alpha=alpha, R=radius, target_avg_degree=self.avg_degree
-        )
+        return alpha, radius
 
 
 @dataclass(frozen=True)
 class VertexCoordinates:
-    """Sampled positions, kept in both coordinate systems."""
+    """Sampled positions in native polar coordinates."""
 
     phi: np.ndarray
     r_native: np.ndarray
-    r_poincare: np.ndarray
 
     def __len__(self):
         return self.phi.size
@@ -179,13 +175,9 @@ def sample_points(n, alpha, radius, seed) -> VertexCoordinates:
     phi = TWO_PI * draws[:, 0]
     r_native = radial_inverse_cdf(draws[:, 1], alpha, radius)
     # Rounding in the quantile evaluation can land a sample exactly on the
-    # rim; nudge such points inside so they stay in every half-open cell.
+    # rim; nudge such points inside the half-open disk [0, R).
     np.minimum(r_native, np.nextafter(radius, 0.0), out=r_native)
-    r_poincare = to_poincare_radius(r_native)
-    np.minimum(
-        r_poincare, np.nextafter(to_poincare_radius(radius), 0.0), out=r_poincare
-    )
-    return VertexCoordinates(phi=phi, r_native=r_native, r_poincare=r_poincare)
+    return VertexCoordinates(phi=phi, r_native=r_native)
 
 
 def _edge_keys(tree, n, radius, lo, hi):
@@ -214,25 +206,19 @@ def _query_edge_keys(tree, n, radius, pool):
 
 def generate_with_stats(params: GeneratorParams):
     """Like `generate` but also returns phase timings."""
-    model = params.resolve()
-    n = model.n
+    alpha, radius = params.resolve()
+    n = params.n
 
     t0 = time.perf_counter_ns()
-    coords = sample_points(n, model.alpha, model.R, params.seed)
+    coords = sample_points(n, alpha, radius, params.seed)
     t1 = time.perf_counter_ns()
 
-    tree = PolarQuadtree.build(
-        coords.phi,
-        coords.r_poincare,
-        alpha=model.alpha,
-        max_r=to_poincare_radius(model.R),
-        b=disk_weight(coords.r_native),
-    )
+    tree = PolarQuadtree.build(coords.phi, coords.r_native, alpha=alpha, radius=radius)
     del coords
     t2 = time.perf_counter_ns()
 
     with WorkerPool(params.threads) as pool:
-        blocks = _query_edge_keys(tree, n, model.R, pool)
+        blocks = _query_edge_keys(tree, n, radius, pool)
     del tree
     keys = np.concatenate(blocks)
     del blocks
@@ -247,8 +233,8 @@ def generate_with_stats(params: GeneratorParams):
     stats = GenerationStats(
         n=n,
         m=graph.m,
-        radius=model.R,
-        alpha=model.alpha,
+        radius=radius,
+        alpha=alpha,
         t_sample_ns=t1 - t0,
         t_build_ns=t2 - t1,
         t_edges_ns=t3 - t2,
@@ -267,16 +253,14 @@ def generate(params: GeneratorParams) -> Graph:
 
 
 def generate_brute_force(coords: VertexCoordinates, radius) -> Graph:
-    """Reference edge set: every pair tested with `within_distance`, edge
-    iff the hyperbolic distance is strictly below `radius`. Quadratic;
-    intended for validation."""
-    if not radius > 0.0:
-        raise ParameterDomainError("radius must be positive")
+    """Reference edge set on the disk of radius R = `radius`: every pair
+    tested with `within_distance`, edge iff the hyperbolic distance is
+    strictly below R. Raises OutOfBoundsError for a point at r_native >= R.
+    Quadratic; intended for validation."""
     n = len(coords)
-    r = coords.r_poincare
+    r, b = poincare_image(coords.r_native, radius)
     x = r * np.cos(coords.phi)
     y = r * np.sin(coords.phi)
-    b = disk_weight(coords.r_native)
     cols = np.arange(n, dtype=np.int64)
     us, vs = [], []
     block = max(1, min(n, 8_000_000 // max(n, 1)))

@@ -1,44 +1,22 @@
 """Geometry of the hyperbolic plane in polar coordinates.
 
-Two coordinate systems are used throughout. In the *native* representation a
-point is (phi, r) with r the hyperbolic distance from the origin. In the
-*Poincare* representation the same point lives inside the Euclidean unit disk,
-where hyperbolic circles become Euclidean circles and range queries become
-ordinary disk queries. Curvature is fixed at -1.
+Points are given in *native* polar coordinates (phi, r), with r the
+hyperbolic distance from the origin, and cross every module boundary in that
+form. Only the polar quadtree and the brute-force reference move them into
+the *Poincare* disk, through `poincare_image`: there a point lives inside the
+Euclidean unit disk, hyperbolic circles become Euclidean circles and range
+queries become ordinary disk queries. Curvature is fixed at -1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleParametersError, ParameterDomainError
+from .errors import InfeasibleParametersError, OutOfBoundsError, ParameterDomainError
 
 TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Resolved model parameters: n points on a disk of radius R, growth alpha.
-
-    When target_avg_degree is set, R was derived from it via target_radius;
-    otherwise R itself is authoritative.
-    """
-
-    n: int
-    alpha: float
-    R: float
-    target_avg_degree: float | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterDomainError(f"n must be >= 1, got {self.n}")
-        if not self.alpha > 0.0:
-            raise ParameterDomainError(f"alpha must be > 0, got {self.alpha}")
-        if not self.R > 0.0:
-            raise ParameterDomainError(f"R must be > 0, got {self.R}")
 
 
 def to_poincare_radius(r_native):
@@ -53,30 +31,34 @@ def to_poincare_radius(r_native):
     return out if np.ndim(r_native) else float(out)
 
 
-def to_native_radius(r_poincare):
-    """Inverse of to_poincare_radius. Accepts scalars or arrays in [0, 1)."""
-    r = np.asarray(r_poincare, dtype=np.float64)
-    if not np.all((r >= 0.0) & (r < 1.0)):
-        raise ParameterDomainError("Poincare radial coordinate must be in [0, 1)")
-    out = 2.0 * np.arctanh(r)
-    return out if np.ndim(r_poincare) else float(out)
+def poincare_image(r_native, radius):
+    """The Poincare radius and the weight 1 - |p|^2 that `within_distance`
+    reads, for points at native radii r in [0, radius). Raises
+    OutOfBoundsError for a radius outside that range or NaN, and
+    ParameterDomainError unless the rim tanh(R/2) lies in (0, 1), which
+    rounding breaks from R = 37.98 on.
 
-
-def disk_weight(r_native):
-    """1 - |p|^2 for the Poincare image p of a point at native radius r.
-
-    Evaluated as sech^2(r/2) from the native radius. The form 1 - tanh^2(r/2)
-    cancels near the rim, where the stored Poincare radius keeps only about
-    1e-16 / (1 - |p|) of relative accuracy in 1 - |p|^2. Accepts scalars or
-    arrays.
+    The Poincare radius tanh(r/2) is kept below the rim, which rounding
+    reaches near it, so every point stays inside each half-open cell. The
+    weight is sech^2(r/2) from the native radius: the form 1 - tanh^2(r/2)
+    cancels near the rim, where the Poincare radius keeps only about
+    1e-16 / (1 - |p|) of relative accuracy in 1 - |p|^2.
     """
-    out = np.cosh(np.asarray(r_native, dtype=np.float64) / 2.0) ** -2.0
-    return out if np.ndim(r_native) else float(out)
+    rim = to_poincare_radius(radius)
+    if not 0.0 < rim < 1.0:
+        raise ParameterDomainError(
+            f"disk radius {radius:.10g} is not positive or too large: tanh(R/2) = {rim!r}"
+        )
+    r_native = np.asarray(r_native, dtype=np.float64)
+    if r_native.size and not (r_native.min() >= 0.0 and r_native.max() < radius):
+        raise OutOfBoundsError(f"native radius outside [0, {radius:.10g})")
+    r = np.minimum(to_poincare_radius(r_native), np.nextafter(rim, 0.0))
+    return r, np.cosh(r_native / 2.0) ** -2.0
 
 
 def within_distance(dx, dy, b_p, b_q, radius):
     """The edge predicate: whether two points of the Poincare disk, (dx, dy)
-    apart and with weights b = 1 - |p|^2 (see `disk_weight`), lie at
+    apart and with weights b = 1 - |p|^2 (see `poincare_image`), lie at
     hyperbolic distance strictly below `radius`.
 
     d(p, q) < R iff |p - q|^2 < sinh^2(R/2) * b_p * b_q. Swapping p and q

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, pair_keys
-from .pool import WorkerPool
+from .pool import WorkerPool, check_threads
 
 # Writers format this many edge lines, or METIS values, per block: a block
 # of lines is a digit matrix and a mask of 2 * _WRITE_BLOCK bytes per decimal
@@ -69,11 +69,6 @@ def _format_ids(ids, seps, *, blank_zero=False):
     return text[keep]
 
 
-def _check_threads(threads):
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-
-
 def _write_blocks(fh, fmt, count, threads):
     """Writes the bytes fmt(0), ..., fmt(count - 1) to `fh` in order, as
     formatted by a `WorkerPool` of `threads` workers, with at most
@@ -93,9 +88,9 @@ def write_edgelist(
 ):
     """Writes the edges of `graph.keys` one block at a time, so the file
     costs no memory per edge; `threads` workers format the blocks. Raises
-    ValueError, before opening the file, on threads < 1 and on a header
-    whose n or m is not the graph's."""
-    _check_threads(threads)
+    ValueError, before opening the file, on a thread count that is not an
+    integer of at least 1 and on a header whose n or m is not the graph's."""
+    check_threads(threads)
     if header is not None and (header.n, header.m) != (graph.n, graph.m):
         raise ValueError(f"header n, m = {header.n}, {header.m} contradicts the graph")
     seps = np.tile(np.frombuffer(b" \n", dtype=np.uint8), min(graph.m, _WRITE_BLOCK))
@@ -215,8 +210,8 @@ def write_metis(graph: Graph, path, threads: int = 1):
     """METIS adjacency format: header `n m`, then per-vertex neighbor lists
     with 1-based ids; a 0 entry writes an isolated vertex's empty line.
     `threads` workers format the blocks. Raises ValueError, before opening
-    the file, on threads < 1."""
-    _check_threads(threads)
+    the file, on a thread count that is not an integer of at least 1."""
+    check_threads(threads)
     deg = graph.degrees()
     values = np.insert(graph.indices + 1, graph.indptr[:-1][deg == 0], 0)
     seps = np.full(values.size, ord(" "), dtype=np.uint8)

@@ -13,9 +13,21 @@ which block never changes a result.
 
 from __future__ import annotations
 
+import numbers
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+from .errors import ParameterDomainError
+
+
+def check_threads(threads):
+    """Raises ParameterDomainError unless `threads` is an integer of at
+    least 1; a bool is not a thread count."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):
+        raise ParameterDomainError(f"threads must be an integer, got {threads!r}")
+    if threads < 1:
+        raise ParameterDomainError(f"threads must be at least 1, got {threads}")
 
 
 class WorkerPool(ThreadPoolExecutor):
@@ -26,6 +38,7 @@ class WorkerPool(ThreadPoolExecutor):
     unpinned and the pool working."""
 
     def __init__(self, threads):
+        check_threads(threads)
         cpus = []
         if hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity"):
             cpus = sorted(os.sched_getaffinity(0))

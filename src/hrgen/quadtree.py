@@ -1,16 +1,18 @@
 """Polar quadtree over the unit disk, stored as radial bands of halving mass.
 
-Cells are annulus sectors in polar coordinates of the Poincare disk. Every
-level of the tree halves a cell's angle range and splits its radial range so
-that both shells carry equal probability mass under the sinh radial density
-with growth parameter alpha. With points drawn from that density every child
-of a cell is equally likely, so the tree fills up evenly, level by level,
-and its leaves at depth h form a fixed grid: 2^h radial rows times 2^h
-angular sectors of width 2pi / 2^h. Row boundaries are dyadic in the radial
-mass u = (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) of native radius r, which
-is the recursive equal-mass split in closed form. A node at depth d is a
-block of 2^(h-d) rows times one sector of width 2pi / 2^d. The grid is a
-view, computed from the stored points on demand.
+The tree takes points in native coordinates and makes their Poincare images
+(`geometry.poincare_image`) once, as it is built. Cells are annulus sectors
+in polar coordinates of the Poincare disk. Every level of the tree halves a
+cell's angle range and splits its radial range so that both shells carry
+equal probability mass under the sinh radial density with growth parameter
+alpha. With points drawn from that density every child of a cell is equally
+likely, so the tree fills up evenly, level by level, and its leaves at
+depth h form a fixed grid: 2^h radial rows times 2^h angular sectors of
+width 2pi / 2^h. Row boundaries are dyadic in the radial mass
+u = (cosh(alpha*r) - 1) / (cosh(alpha*R) - 1) of native radius r, which is
+the recursive equal-mass split in closed form. A node at depth d is a block
+of 2^(h-d) rows times one sector of width 2pi / 2^d. The grid is a view,
+computed from the stored points on demand.
 
 Points are stored by radial band, sorted by angle within each band. The
 outermost band holds half the probability mass, the next one a quarter, and
@@ -42,8 +44,8 @@ from .errors import OutOfBoundsError, ParameterDomainError
 from .geometry import (
     TWO_PI,
     circle_params,
+    poincare_image,
     radial_inverse_cdf,
-    to_native_radius,
     to_poincare_radius,
     within_distance,
 )
@@ -87,12 +89,12 @@ _TINY = np.finfo(np.float64).tiny
 _SCAN_BLOCK = 1 << 16
 
 
-def band_boundaries(rows, core, alpha, max_r_native):
-    """Native radii 0 = b_0 < b_1 < ... = max_r of the bands: `rows` shells
-    of equal probability mass under the sinh radial density, the innermost
-    of them split again into `core` + 1 bands of masses 2^-core, 2^-core,
-    2^(1-core), ..., 2^-1 times 1 / rows. A shell [b, b'] has mass
-    (cosh(alpha*b') - cosh(alpha*b)) / (cosh(alpha*max_r) - 1).
+def band_boundaries(rows, core, alpha, radius):
+    """Native radii 0 = b_0 < b_1 < ... = R = `radius` of the bands: `rows`
+    shells of equal probability mass under the sinh radial density, the
+    innermost of them split again into `core` + 1 bands of masses 2^-core,
+    2^-core, 2^(1-core), ..., 2^-1 times 1 / rows. A shell [b, b'] has mass
+    (cosh(alpha*b') - cosh(alpha*b)) / (cosh(alpha*R) - 1).
 
     For rows = 2**h the row boundaries are the radii of h levels of
     equal-mass splits.
@@ -101,7 +103,7 @@ def band_boundaries(rows, core, alpha, max_r_native):
         raise ParameterDomainError("need rows >= 1 and core >= 0")
     inner = 0.5 ** np.arange(core, 0, -1)
     mass = np.concatenate(([0.0], inner, np.arange(1, rows + 1))) / rows
-    return radial_inverse_cdf(mass, alpha, max_r_native)
+    return radial_inverse_cdf(mass, alpha, radius)
 
 
 def _cos_bound(p, c, diff):
@@ -135,18 +137,19 @@ class PolarQuadtree:
     2**height() radial rows, with Poincare boundary radii `row_r`, times
     2**height() angular sectors.
 
-    Per-point arrays, each band's slice sorted by (angle, id): `p_phi`,
-    `p_r`, `p_id`, Cartesian `p_z` = `p_x` + i`p_y` (views), the weight
-    `p_b` = 1 - `p_r`^2 that the edge predicate reads, and `p_key`, the
-    band times a fixed stride plus the angle, which ascends throughout.
+    Per-point arrays, each band's slice sorted by (angle, id): `p_phi`, the
+    Poincare radius `p_r`, `p_id`, Cartesian `p_z` = `p_x` + i`p_y` (views),
+    the weight `p_b` = 1 - `p_r`^2 that the edge predicate reads, taken from
+    the native radius, and `p_key`, the band times a fixed stride plus the
+    angle, which ascends throughout.
     """
 
     @classmethod
-    def build(cls, phi, r, *, alpha, max_r, capacity=DEFAULT_LEAF_CAPACITY, b=None):
-        """Build the tree for coordinate arrays (phi, r), all points inside
-        [0, 2pi) x [0, max_r). Point i gets id i. The weights `b` default to
-        1 - r^2; points sampled by native radius pass `disk_weight` of it,
-        which keeps its digits at the rim.
+    def build(cls, phi, r, *, alpha, radius, capacity=DEFAULT_LEAF_CAPACITY):
+        """Build the tree for native coordinate arrays (phi, r) of points in
+        [0, 2pi) x [0, radius), the disk of the model with growth `alpha`
+        and radius R = `radius`. Point i gets id i. The tree stores each
+        point's Poincare radius and weight from `poincare_image`.
 
         The points are stored in bands of halving mass whatever `capacity`
         is: it sets only the leaf grid's height, the smallest h with
@@ -162,40 +165,26 @@ class PolarQuadtree:
         """
         if not 0.0 < alpha < math.inf:
             raise ParameterDomainError("alpha must be positive and finite")
-        if not 0.0 < max_r < 1.0:
-            raise ParameterDomainError("max_r must be in (0, 1)")
         capacity = int(capacity)
         if capacity < 1:
             raise ParameterDomainError("capacity must be at least 1")
         phi = np.ascontiguousarray(phi, dtype=np.float64)
-        r = np.ascontiguousarray(r, dtype=np.float64)
-        if phi.shape != r.shape or phi.ndim != 1:
+        if phi.shape != np.shape(r) or phi.ndim != 1:
             raise ValueError("phi and r must be 1-d arrays of equal length")
-        if b is None:
-            b = (1.0 - r) * (1.0 + r)
-        else:
-            b = np.ascontiguousarray(b, dtype=np.float64)
-            if b.shape != phi.shape:
-                raise ValueError("b must match the coordinate arrays")
-        if phi.size and not (
-            phi.min() >= 0.0
-            and phi.max() < TWO_PI
-            and r.min() >= 0.0
-            and r.max() < max_r
-        ):
+        r, b = poincare_image(r, radius)
+        if phi.size and not (phi.min() >= 0.0 and phi.max() < TWO_PI):
             raise OutOfBoundsError("point outside the tree region")
 
         height = 0
         while capacity * 4**height < phi.size:
             height += 1
         core = max(phi.size - 1, 0).bit_length()  # smallest with n <= 2**core
-        native_max_r = to_native_radius(max_r)
         bounds, row_r = (
-            to_poincare_radius(band_boundaries(rows, c, alpha, native_max_r))
+            to_poincare_radius(band_boundaries(rows, c, alpha, radius))
             for rows, c in ((1, core), (2**height, 0))
         )
         for radii in (bounds, row_r):
-            radii[0], radii[-1] = 0.0, max_r
+            radii[0], radii[-1] = 0.0, to_poincare_radius(radius)  # the rim
         band = np.searchsorted(bounds[1:-1], r, side="right")
         # Bands sorted by (angle, id) for the queries' binary searches.
         order = np.argsort(phi)

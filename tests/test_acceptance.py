@@ -65,7 +65,7 @@ def test_01_quadtree_matches_brute_force(capsys):
                         params = GeneratorParams(
                             n=n, avg_degree=kbar, gamma=gamma, seed=seed
                         )
-                        model = params.resolve()
+                        alpha, radius = params.resolve()
                     except ValueError:
                         # kbar = 64 at n = 100 exceeds what the model can
                         # realize at any radius (the dense limit caps the
@@ -74,10 +74,10 @@ def test_01_quadtree_matches_brute_force(capsys):
                         params = GeneratorParams(
                             n=n, radius=1.0, gamma=gamma, seed=seed
                         )
-                        model = params.resolve()
+                        alpha, radius = params.resolve()
                     fast = generate(params)
-                    coords = sample_points(model.n, model.alpha, model.R, seed)
-                    slow = generate_brute_force(coords, model.R)
+                    coords = sample_points(n, alpha, radius, seed)
+                    slow = generate_brute_force(coords, radius)
                     assert np.array_equal(fast.indptr, slow.indptr)
                     assert np.array_equal(fast.indices, slow.indices)
                     runs += 1
@@ -121,10 +121,7 @@ def test_03_cell_occupancy_balance(capsys):
     for alpha in (0.6, 1.0, 3.0):
         radius = target_radius(n, 16.0, alpha)
         coords = sample_points(n, alpha, radius, 0)
-        tree = PolarQuadtree.build(
-            coords.phi, coords.r_poincare,
-            alpha=alpha, max_r=to_poincare_radius(radius),
-        )
+        tree = PolarQuadtree.build(coords.phi, coords.r_native, alpha=alpha, radius=radius)
         for depth in (2, 3):
             nodes = tree.nodes_at_depth(depth)
             assert len(nodes) == 4**depth
@@ -148,24 +145,22 @@ def test_04_tree_height_logarithmic(capsys):
         bound = 2.0 * math.log(n, 4.0) + 10.0
         for gamma in (2.2, 3.0):
             for seed in (0, 1):
-                model = GeneratorParams(
+                alpha, radius = GeneratorParams(
                     n=n, avg_degree=16.0, gamma=gamma, seed=seed
                 ).resolve()
-                coords = sample_points(n, model.alpha, model.R, seed)
+                coords = sample_points(n, alpha, radius, seed)
                 tree = PolarQuadtree.build(
-                    coords.phi, coords.r_poincare,
-                    alpha=model.alpha, max_r=to_poincare_radius(model.R),
+                    coords.phi, coords.r_native, alpha=alpha, radius=radius
                 )
                 assert tree.height() <= bound
                 worst_slack = min(worst_slack, bound - tree.height())
                 runs += 1
     for n in (1_000, 10_000):
         bound = 2.0 * math.log(n, 4.0) + 10.0
-        model = GeneratorParams(n=n, avg_degree=16.0, gamma=3.0).resolve()
-        coords = sample_points(n, model.alpha, model.R, 0)
+        alpha, radius = GeneratorParams(n=n, avg_degree=16.0, gamma=3.0).resolve()
+        coords = sample_points(n, alpha, radius, 0)
         tree = PolarQuadtree.build(
-            coords.phi, coords.r_poincare,
-            alpha=model.alpha, max_r=to_poincare_radius(model.R), capacity=1,
+            coords.phi, coords.r_native, alpha=alpha, radius=radius, capacity=1
         )
         assert tree.height() <= bound
         worst_slack = min(worst_slack, bound - tree.height())

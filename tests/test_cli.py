@@ -322,6 +322,22 @@ def test_sweep_records_per_cell_errors(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in good)
 
 
+@pytest.mark.parametrize("flag", ["--threads", "--reps"])
+def test_sweep_checks_its_counts_before_any_run(tmp_path, capsys, flag):
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_cli(
+        capsys,
+        "sweep",
+        "--nodes-list", "300",
+        "--degree-list", "6",
+        "--gamma-list", "3",
+        flag, "0",
+        "--output", str(out),
+    )
+    assert code == 1 and "must be at least 1" in err
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--nodes", "10", "--gamma", "3",

@@ -13,6 +13,7 @@ from hrgen import (
     GeneratorParams,
     Graph,
     InfeasibleParametersError,
+    OutOfBoundsError,
     ParameterDomainError,
     PolarQuadtree,
     VertexCoordinates,
@@ -26,7 +27,7 @@ from hrgen import (
     write_edgelist,
 )
 from hrgen import generator
-from hrgen.geometry import TWO_PI, disk_weight, within_distance
+from hrgen.geometry import TWO_PI, within_distance
 from hrgen.graph import MAX_N
 
 from helpers import from_edges, gnp_graph, has_edge, long_range_scalar
@@ -119,15 +120,10 @@ def test_radius_just_inside_the_poincare_disk_accepted():
 
 
 def test_resolve_translates_gamma_and_degree():
-    p = GeneratorParams(n=1000, avg_degree=8.0, gamma=3.0)
-    model = p.resolve()
-    assert model.alpha == pytest.approx(1.0)
-    assert model.n == 1000
-    assert model.R > 0
-    q = GeneratorParams(n=1000, radius=12.0, alpha=0.75)
-    model_q = q.resolve()
-    assert model_q.R == 12.0
-    assert model_q.target_avg_degree is None
+    alpha, radius = GeneratorParams(n=1000, avg_degree=8.0, gamma=3.0).resolve()
+    assert alpha == pytest.approx(1.0)
+    assert radius > 0
+    assert GeneratorParams(n=1000, radius=12.0, alpha=0.75).resolve() == (0.75, 12.0)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -176,11 +172,9 @@ def test_sample_points_deterministic_and_in_range():
     b = sample_points(5000, 0.8, 14.0, seed=42)
     assert np.array_equal(a.phi, b.phi)
     assert np.array_equal(a.r_native, b.r_native)
-    assert np.array_equal(a.r_poincare, b.r_poincare)
     assert len(a) == 5000
     assert a.phi.min() >= 0.0 and a.phi.max() < TWO_PI
     assert a.r_native.min() >= 0.0 and a.r_native.max() < 14.0
-    assert a.r_poincare.max() < 1.0
     c = sample_points(5000, 0.8, 14.0, seed=43)
     assert not np.array_equal(a.phi, c.phi)
 
@@ -209,15 +203,15 @@ def test_sampled_distributions_fit():
 )
 def test_generate_matches_brute_force(n, kbar, gamma, seed):
     params = GeneratorParams(n=n, avg_degree=kbar, gamma=gamma, seed=seed)
-    model = params.resolve()
+    alpha, radius = params.resolve()
     g, stats_ = generate_with_stats(params)
-    coords = sample_points(model.n, model.alpha, model.R, seed)
-    brute = generate_brute_force(coords, model.R)
+    coords = sample_points(n, alpha, radius, seed)
+    brute = generate_brute_force(coords, radius)
     assert np.array_equal(g.indptr, brute.indptr)
     assert np.array_equal(g.indices, brute.indices)
     assert stats_.n == n
     assert stats_.m == g.m
-    assert stats_.radius == pytest.approx(model.R)
+    assert (stats_.alpha, stats_.radius) == (alpha, radius)
     assert stats_.t_total_ns >= stats_.t_edges_ns
 
 
@@ -280,9 +274,7 @@ def test_coordinates_are_freed_before_the_query(monkeypatch):
 
     def sampled(*args):
         coords = sample_points(*args)
-        refs.extend(
-            weakref.ref(a) for a in (coords.phi, coords.r_native, coords.r_poincare)
-        )
+        refs.extend(weakref.ref(a) for a in (coords.phi, coords.r_native))
         return coords
 
     def checked(tree, lo, hi, radius):
@@ -292,25 +284,19 @@ def test_coordinates_are_freed_before_the_query(monkeypatch):
     monkeypatch.setattr(generator, "sample_points", sampled)
     monkeypatch.setattr(PolarQuadtree, "query_many", checked)
     generate(GeneratorParams(n=3000, avg_degree=8.0, gamma=3.0, seed=1))
-    assert len(refs) == 3 and alive and not any(alive)
+    assert len(refs) == 2 and alive and not any(alive)
 
 
 def test_leaf_capacity_does_not_change_output():
     n = 8000
-    model = GeneratorParams(n=n, avg_degree=10.0, gamma=3.0).resolve()
-    coords = sample_points(model.n, model.alpha, model.R, 6)
-    weight = disk_weight(coords.r_native)
+    alpha, radius = GeneratorParams(n=n, avg_degree=10.0, gamma=3.0).resolve()
+    coords = sample_points(n, alpha, radius, 6)
     trees, edge_sets = [], []
     for capacity in (1, 128, n):
         tree = PolarQuadtree.build(
-            coords.phi,
-            coords.r_poincare,
-            alpha=model.alpha,
-            max_r=to_poincare_radius(model.R),
-            capacity=capacity,
-            b=weight,
+            coords.phi, coords.r_native, alpha=alpha, radius=radius, capacity=capacity
         )
-        v, w = tree.query_many(0, n, model.R)
+        v, w = tree.query_many(0, n, radius)
         # each edge is found once, from the endpoint stored first
         position = np.argsort(tree.p_id)
         assert np.all(position[v] < position[w])
@@ -370,8 +356,26 @@ def test_long_range_fraction_wired_into_generate():
     )
 
 
+def test_brute_force_rejects_points_off_the_disk():
+    # the disk radius of the reference is its edge threshold R: a point at
+    # native radius R or beyond lies off the disk, and is not moved onto it
+    coords = sample_points(50, 1.0, 6.0, 0)
+    assert generate_brute_force(coords, 6.0).m > 0
+    for outside in (6.0, 6.5, math.nan, -0.1):
+        r_native = coords.r_native.copy()
+        r_native[7] = outside
+        with pytest.raises(OutOfBoundsError):
+            generate_brute_force(VertexCoordinates(phi=coords.phi, r_native=r_native), 6.0)
+    with pytest.raises(OutOfBoundsError):
+        generate_brute_force(coords, 0.9 * coords.r_native.max())
+    for radius in (0.0, -1.0, 38.0):
+        with pytest.raises(ParameterDomainError):
+            generate_brute_force(coords, radius)
+
+
 def test_long_range_rejects_full_graph():
-    full = generate_brute_force(sample_points(4, 1.0, 0.5, 0), 50.0)
+    # four points within 0.5 of the origin lie less than R = 1 apart
+    full = generate_brute_force(sample_points(4, 1.0, 0.5, 0), 1.0)
     assert full.m == 6
     with pytest.raises(InfeasibleParametersError):
         add_long_range_edges(full, 0.5, seed=0)
@@ -453,14 +457,9 @@ def test_generation_and_write_stay_below_32_bytes_per_edge(tmp_path, threads):
 def coords_from_native(phi, r_native, radius):
     """Vertex coordinates at the given native radii, kept inside the disk as
     `sample_points` keeps its samples."""
-    r_native = np.minimum(np.asarray(r_native, dtype=np.float64), np.nextafter(radius, 0.0))
-    r_poincare = np.minimum(
-        to_poincare_radius(r_native), np.nextafter(to_poincare_radius(radius), 0.0)
-    )
     return VertexCoordinates(
         phi=np.mod(np.asarray(phi, dtype=np.float64), TWO_PI),
-        r_native=r_native,
-        r_poincare=r_poincare,
+        r_native=np.minimum(np.asarray(r_native, dtype=np.float64), np.nextafter(radius, 0.0)),
     )
 
 
@@ -508,13 +507,7 @@ def test_ties_are_decided_once_and_by_one_predicate():
     coords = tie_pairs(count, radius, 1e-12, 0)
     graph = assert_matches_brute_force(coords, radius)
     # the predicate, on the tree's stored arrays, is the same from both ends
-    tree = PolarQuadtree.build(
-        coords.phi,
-        coords.r_poincare,
-        alpha=1.0,
-        max_r=to_poincare_radius(radius),
-        b=disk_weight(coords.r_native),
-    )
+    tree = PolarQuadtree.build(coords.phi, coords.r_native, alpha=1.0, radius=radius)
     at = np.argsort(tree.p_id)
     v, w = at[0::2], at[1::2]
     x, y, b = tree.p_x, tree.p_y, tree.p_b

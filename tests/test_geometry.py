@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from hrgen import (
     InfeasibleParametersError,
-    ModelParams,
+    OutOfBoundsError,
     ParameterDomainError,
     alpha_from_gamma,
     expected_avg_degree,
+    poincare_image,
     target_radius,
-    to_native_radius,
     to_poincare_radius,
 )
 from hrgen.geometry import TWO_PI, circle_params
@@ -20,21 +20,12 @@ from hrgen.geometry import TWO_PI, circle_params
 from helpers import poincare_distance
 
 
-def test_model_params_validation():
-    with pytest.raises(ParameterDomainError):
-        ModelParams(n=0, alpha=1.0, R=10.0)
-    with pytest.raises(ParameterDomainError):
-        ModelParams(n=10, alpha=0.0, R=10.0)
-    with pytest.raises(ParameterDomainError):
-        ModelParams(n=10, alpha=1.0, R=0.0)
-
-
 # the distance of the mapped value from 1 is ~2e^-r, so the roundtrip error
 # is bounded by the float64 spacing near 1 divided by that gap: ~e^r * eps.
 # tanh(r/2) saturates to exactly 1.0 (unusable) near r = 37.5
 @given(st.floats(0.0, 36.0))
 def test_radius_maps_roundtrip(r):
-    back = to_native_radius(to_poincare_radius(r))
+    back = 2.0 * math.atanh(to_poincare_radius(r))
     assert abs(back - r) <= 2e-16 * math.exp(r) + 1e-9
 
 
@@ -46,14 +37,36 @@ def test_radius_maps_scalar_vs_array():
         scalar = to_poincare_radius(float(r))
         assert isinstance(scalar, float)
         assert scalar == p
-    with pytest.raises(ParameterDomainError):
-        to_native_radius(1.0)
-    with pytest.raises(ParameterDomainError):
-        to_native_radius(np.array([0.2, -0.1]))
-    with pytest.raises(ParameterDomainError):
-        to_native_radius(math.nan)
-    with pytest.raises(ParameterDomainError):
-        to_native_radius(np.array([0.2, math.nan]))
+
+
+@pytest.mark.parametrize("radius", [4.0, 21.5, 37.9])
+def test_poincare_image_keeps_rim_points_inside_and_their_weights(radius):
+    # tanh(r/2) of a point a few ulps inside the rim rounds to the rim
+    # tanh(R/2); the image stays one float below it
+    rim = to_poincare_radius(radius)
+    at_rim = np.nextafter(radius, 0.0) - np.arange(4) * 1e-15 * radius
+    r_native = np.concatenate(([0.0, 1.0, radius / 2.0], at_rim))
+    r, b = poincare_image(r_native, radius)
+    tanh = to_poincare_radius(r_native)
+    on_rim = tanh == rim
+    assert on_rim[3] and not on_rim[:3].any()
+    assert np.all(r[on_rim] == np.nextafter(rim, 0.0))
+    assert np.array_equal(r[~on_rim], tanh[~on_rim])
+    # the weight sech^2(r/2) keeps its digits where 1 - |p|^2 has none left
+    sech = 2.0 / (np.exp(r_native / 2.0) + np.exp(-r_native / 2.0))
+    assert b == pytest.approx(sech**2, rel=1e-14)
+    assert b[0] == 1.0 and np.all(b > 0.0)
+
+
+def test_poincare_image_domain():
+    for r_native in ([-0.1], [4.0], [5.0], [math.nan], [1.0, math.inf]):
+        with pytest.raises(OutOfBoundsError):
+            poincare_image(np.array(r_native), 4.0)
+    for radius in (0.0, -1.0, math.nan, 38.0):
+        with pytest.raises(ParameterDomainError):
+            poincare_image(np.array([0.0]), radius)
+    r, b = poincare_image(np.empty(0), 4.0)
+    assert r.size == b.size == 0
 
 
 def test_distance_frozen_oracle():
@@ -66,7 +79,7 @@ def test_distance_frozen_oracle():
 def test_distance_to_origin_is_native_radius():
     for r in (0.0, 0.1, 0.5, 0.9, 0.999999):
         d = poincare_distance(0.0, 0.0, r * math.cos(1.3), r * math.sin(1.3))
-        assert d == pytest.approx(to_native_radius(r), rel=1e-12)
+        assert d == pytest.approx(2.0 * math.atanh(r), rel=1e-12)
 
 
 def _cartesian(phi_r):

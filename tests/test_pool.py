@@ -6,8 +6,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hrgen import EdgeListHeader, GeneratorParams, generate_with_stats, graphio
-from hrgen import write_edgelist, write_metis
+from hrgen import EdgeListHeader, GeneratorParams, ParameterDomainError
+from hrgen import generate_with_stats, graphio, write_edgelist, write_metis
 from hrgen.pool import WorkerPool
 
 HAS_AFFINITY = hasattr(os, "sched_getaffinity") and hasattr(os, "sched_setaffinity")
@@ -183,16 +183,22 @@ def test_generation_leaves_the_calling_thread_affinity_alone(tmp_path):
     assert stats.threads == 2 and stats.pinned == (len(CPUS) == 2)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 1.3, 1.5, True, "2"])
 def test_writers_refuse_fewer_than_one_thread_before_opening_the_file(
     small_graph, tmp_path, threads
 ):
+    # a fractional count would never fill `_write_blocks`' 2 * threads bound,
+    # and so keep every block in flight
     graph, header = small_graph
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ParameterDomainError, match="threads"):
         write_edgelist(graph, tmp_path / "g.edges", header, threads=threads)
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ParameterDomainError, match="threads"):
         write_metis(graph, tmp_path / "g.metis", threads=threads)
     assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ParameterDomainError, match="threads"):
+        WorkerPool(threads)
+    with pytest.raises(ParameterDomainError, match="threads"):
+        GeneratorParams(n=10, avg_degree=4.0, gamma=3.0, threads=threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

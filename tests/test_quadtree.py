@@ -10,16 +10,16 @@ from hrgen import (
     OutOfBoundsError,
     ParameterDomainError,
     PolarQuadtree,
+    poincare_image,
     sample_points,
-    to_native_radius,
     to_poincare_radius,
 )
 from hrgen.geometry import TWO_PI, within_distance
 from hrgen.quadtree import band_boundaries
 
-
-def weight(r):
-    return (1.0 - r) * (1.0 + r)
+# Native disk radius of the trees below unless a test says otherwise; the
+# rim tanh(DISK/2) lies at 0.987.
+DISK = 5.0
 
 
 def query(tree, qid, radius):
@@ -31,7 +31,8 @@ def query(tree, qid, radius):
 
 
 def band_of(tree, r):
-    return np.searchsorted(tree.band_r[1:-1], r, side="right")
+    """Band of each native radius, from the tree's Poincare band radii."""
+    return np.searchsorted(tree.band_r[1:-1], to_poincare_radius(r), side="right")
 
 
 def storage_rank(tree, phi, r):
@@ -46,32 +47,34 @@ def leaf_members(tree, phi, r):
     """Ids of the points in each leaf, by row then sector: a point's row by
     `searchsorted` on `row_r`, its sector on the sector edges."""
     cells = 2 ** tree.height()
-    row = np.searchsorted(tree.row_r[1:-1], r, side="right")
+    row = np.searchsorted(tree.row_r[1:-1], to_poincare_radius(r), side="right")
     sector = np.searchsorted(np.arange(1, cells) * (TWO_PI / cells), phi, side="right")
     leaf = row * cells + sector
     order = np.argsort(leaf, kind="stable")
     return np.split(order, np.searchsorted(leaf[order], np.arange(1, cells * cells)))
 
 
-def brute_after_ids(tree, phi, r, qid, radius):
+def brute_after_ids(tree, phi, r, qid, radius, disk=DISK):
     """Points stored after point `qid` that the predicate accepts, by a
-    linear scan."""
+    linear scan of the Poincare images on the disk of radius `disk`."""
     rank = storage_rank(tree, phi, r)
     after = rank > rank[qid]
-    x, y = r * np.cos(phi), r * np.sin(phi)
-    close = within_distance(x - x[qid], y - y[qid], weight(r), weight(r[qid]), radius)
+    p, b = poincare_image(r, disk)
+    x, y = p * np.cos(phi), p * np.sin(phi)
+    close = within_distance(x - x[qid], y - y[qid], b, b[qid], radius)
     return np.flatnonzero(after & close)
 
 
-def brute_pairs(tree, phi, r, radius):
+def brute_pairs(tree, phi, r, radius, disk=DISK):
     """Sorted keys v * n + w of every pair v, w with w stored after v that
     the predicate accepts."""
     n = phi.size
     rank = storage_rank(tree, phi, r)
     v, w = np.nonzero(np.ones((n, n), dtype=bool))
     after = rank[w] > rank[v]
-    x, y = r * np.cos(phi), r * np.sin(phi)
-    close = within_distance(x[w] - x[v], y[w] - y[v], weight(r[w]), weight(r[v]), radius)
+    p, b = poincare_image(r, disk)
+    x, y = p * np.cos(phi), p * np.sin(phi)
+    close = within_distance(x[w] - x[v], y[w] - y[v], b[w], b[v], radius)
     keep = after & close
     return np.sort(v[keep] * n + w[keep])
 
@@ -92,9 +95,11 @@ def tree_pairs(tree, radius, cuts=()):
     return keys
 
 
-def random_points(rng, n, max_r=0.98):
+def random_points(rng, n):
+    """Native coordinates of points uniform by Euclidean area in the
+    Poincare disk of radius 0.98, inside the disk of radius DISK."""
     phi = rng.random(n) * TWO_PI
-    r = np.sqrt(rng.random(n)) * max_r
+    r = 2.0 * np.arctanh(np.sqrt(rng.random(n)) * 0.98)
     return phi, r
 
 
@@ -149,28 +154,31 @@ def test_splitting_radius_halves_mass(h, core, radius, alpha):
 
 def test_build_rejects_out_of_range():
     outside = (
-        (0.0, 0.99), (0.0, 0.98), (-0.1, 0.5), (TWO_PI, 0.5), (math.nan, 0.5), (0.5, math.nan)
+        (0.0, DISK + 0.1), (0.0, DISK), (0.0, -0.1), (-0.1, 1.0), (TWO_PI, 1.0),
+        (math.nan, 1.0), (0.5, math.nan),
     )
     for phi, r in outside:
         with pytest.raises(OutOfBoundsError):
-            PolarQuadtree.build(np.array([phi]), np.array([r]), alpha=1.0, max_r=0.98)
+            PolarQuadtree.build(np.array([phi]), np.array([r]), alpha=1.0, radius=DISK)
 
 
 def test_constructor_domain():
     point = (np.array([0.5]), np.array([0.5]))
     with pytest.raises(ParameterDomainError):
-        PolarQuadtree.build(*point, alpha=0.0, max_r=0.9)
+        PolarQuadtree.build(*point, alpha=0.0, radius=DISK)
     with pytest.raises(ParameterDomainError):
-        PolarQuadtree.build(*point, alpha=math.inf, max_r=0.9)
+        PolarQuadtree.build(*point, alpha=math.inf, radius=DISK)
+    # no rim inside the unit disk: R not positive, or tanh(R/2) rounds to 1
+    for radius in (0.0, -1.0, math.nan, 38.0):
+        with pytest.raises(ParameterDomainError):
+            PolarQuadtree.build(*point, alpha=1.0, radius=radius)
     with pytest.raises(ParameterDomainError):
-        PolarQuadtree.build(*point, alpha=1.0, max_r=1.0)
-    with pytest.raises(ParameterDomainError):
-        PolarQuadtree.build(*point, alpha=1.0, max_r=0.9, capacity=0)
+        PolarQuadtree.build(*point, alpha=1.0, radius=DISK, capacity=0)
     # shape mismatches stay plain ValueErrors
     with pytest.raises(ValueError):
-        PolarQuadtree.build(np.zeros((2, 2)), np.zeros((2, 2)), alpha=1.0, max_r=0.9)
+        PolarQuadtree.build(np.zeros((2, 2)), np.zeros((2, 2)), alpha=1.0, radius=DISK)
     with pytest.raises(ValueError):
-        PolarQuadtree.build(*point, alpha=1.0, max_r=0.9, b=np.ones(2))
+        PolarQuadtree.build(*point[:1], np.ones(2), alpha=1.0, radius=DISK)
 
 
 @given(
@@ -187,21 +195,21 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     if coarse:
         # few distinct coordinates: angle ties inside bands, piled-up cells
         phi = np.round(phi, 1) % TWO_PI
-        r = np.round(r, 1) % 0.98
-    tree = PolarQuadtree.build(phi, r, alpha=alpha, max_r=0.98, capacity=capacity)
+        r = np.round(r, 1)
+    tree = PolarQuadtree.build(phi, r, alpha=alpha, radius=DISK, capacity=capacity)
+    p, b = poincare_image(r, DISK)
     assert len(tree) == n
     h = tree.height()
     assert n <= capacity * 4**h and (h == 0 or n > capacity * 4 ** (h - 1))
     # core + 1 halving-mass bands, whatever the capacity, and 2**h rows
     n_rows, core = 2**h, tree.band_r.size - 2
     assert n <= 2**core and (core == 0 or n > 2 ** (core - 1))
-    native_max_r = to_native_radius(0.98)
-    want = to_poincare_radius(band_boundaries(1, core, alpha, native_max_r))
-    assert tree.band_r == pytest.approx(want, rel=1e-12)
+    rim = to_poincare_radius(DISK)
+    for got, rows, c in ((tree.band_r, 1, core), (tree.row_r, n_rows, 0)):
+        want = to_poincare_radius(band_boundaries(rows, c, alpha, DISK))
+        want[0], want[-1] = 0.0, rim
+        assert np.array_equal(got, want)
     row_r = tree.row_r
-    want = to_poincare_radius(band_boundaries(n_rows, 0, alpha, native_max_r))
-    assert row_r == pytest.approx(want, rel=1e-12)
-    assert (row_r[0], row_r[-1]) == (0.0, 0.98)
     assert tree.band_ptr[0] == 0 and tree.band_ptr[-1] == n
     assert np.all(np.diff(tree.band_ptr) >= 0)
     # every point lies in its band, and in its leaf's row and sector
@@ -213,8 +221,8 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     assert len(leaves) == 4**h
     for leaf, got in zip(leaves, leaf_members(tree, phi, r)):
         assert got.size == leaf.size
-        assert np.all(row_r[leaf.row] <= r[got])
-        assert np.all(r[got] < row_r[leaf.row + 1])
+        assert np.all(row_r[leaf.row] <= p[got])
+        assert np.all(p[got] < row_r[leaf.row + 1])
         assert np.all(leaf.sector * width <= phi[got])
         assert np.all(phi[got] < (leaf.sector + 1) * width)
     assert sum(leaf.size for leaf in leaves) == n
@@ -233,13 +241,30 @@ def test_build_invariants(n, capacity, seed, alpha, coarse):
     # the stored points are the input points, and a point's id is its index
     assert np.array_equal(np.sort(tree.p_id), np.arange(n))
     assert np.array_equal(tree.p_phi, phi[tree.p_id])
-    assert np.array_equal(tree.p_r, r[tree.p_id])
-    assert np.array_equal(tree.p_b, weight(r)[tree.p_id])
+    assert np.array_equal(tree.p_r, p[tree.p_id])
+    assert np.array_equal(tree.p_b, b[tree.p_id])
+
+
+@pytest.mark.parametrize("radius", [35.0, 37.0])
+def test_band_and_row_radii_come_from_the_model_radius(radius):
+    # the rim tanh(R/2) keeps too few digits to give R back: 2 artanh(tanh(R/2))
+    # is R + 0.032 at R = 35 and R - 0.26 at R = 37. So the boundaries are the
+    # images of the native bounds for R itself.
+    alpha, n = 1.0, 4000
+    coords = sample_points(n, alpha, radius, 0)
+    tree = PolarQuadtree.build(
+        coords.phi, coords.r_native, alpha=alpha, radius=radius, capacity=16
+    )
+    core = tree.band_r.size - 2
+    for got, rows, c in ((tree.band_r, 1, core), (tree.row_r, 2 ** tree.height(), 0)):
+        want = to_poincare_radius(band_boundaries(rows, c, alpha, radius))
+        want[0], want[-1] = 0.0, to_poincare_radius(radius)
+        assert np.array_equal(got, want)
 
 
 def _coarse_points(rng, n):
     """Few distinct coordinates: angle ties inside bands and across them."""
-    return rng.integers(0, 12, n) * (TWO_PI / 12), rng.integers(0, 9, n) * 0.1
+    return rng.integers(0, 12, n) * (TWO_PI / 12), rng.integers(0, 9, n) * 0.5
 
 
 @pytest.mark.parametrize(
@@ -270,15 +295,14 @@ def test_build_order_equals_lexsort_oracle(case, ties, capacity):
     }[case]()
     sorted_phi = np.sort(phi)
     assert bool((sorted_phi[1:] == sorted_phi[:-1]).any()) == ties
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=capacity)
-    band = np.searchsorted(tree.band_r[1:-1], r, side="right")
-    assert np.array_equal(tree.p_id, np.lexsort((phi, band)))
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, radius=DISK, capacity=capacity)
+    assert np.array_equal(tree.p_id, np.lexsort((phi, band_of(tree, r))))
     assert np.array_equal(tree.p_phi, phi[tree.p_id])
 
 
 def test_duplicate_points_share_one_cell():
     phi, r = np.full(40, 1.0), np.full(40, 0.5)
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.9, capacity=1)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, radius=DISK, capacity=1)
     assert len(tree) == 40 and tree.height() == 3
     members = leaf_members(tree, phi, r)
     assert [leaf.size for leaf in tree.leaves()] == [ids.size for ids in members]
@@ -300,24 +324,24 @@ def test_duplicate_points_share_one_cell():
     st.integers(1, 64),
     st.integers(0, 2**32 - 1),
     st.floats(0.0, TWO_PI, exclude_max=True),
-    st.floats(0.0, 0.95),
+    st.floats(0.0, 3.6),
     st.floats(1e-3, 12.0),
 )
 @settings(max_examples=60, deadline=None)
 # a hub-like query near the origin: every point inside
-@example(n=300, capacity=1, seed=3, q_phi=2.0, q_r=0.01, radius=5.0)
+@example(n=300, capacity=1, seed=3, q_phi=2.0, q_r=0.02, radius=5.0)
 # a subnormal query radius, where the window's quotient would overflow
 @example(n=0, capacity=1, seed=0, q_phi=0.0, q_r=2.225073858507e-311, radius=1.0)
 @example(n=300, capacity=1, seed=0, q_phi=0.0, q_r=2.225073858507e-311, radius=0.6)
 # small balls straddling phi = 0 from each side, with hits on both sides
-@example(n=300, capacity=1, seed=0, q_phi=0.02, q_r=0.8, radius=1.2)
-@example(n=300, capacity=1, seed=0, q_phi=TWO_PI - 0.02, q_r=0.8, radius=1.2)
+@example(n=300, capacity=1, seed=0, q_phi=0.02, q_r=2.2, radius=1.2)
+@example(n=300, capacity=1, seed=0, q_phi=TWO_PI - 0.02, q_r=2.2, radius=1.2)
 def test_query_equals_linear_scan(n, capacity, seed, q_phi, q_r, radius):
     # the query point is stored as point n // 2 among n random points
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
     phi, r = np.insert(phi, n // 2, q_phi), np.insert(r, n // 2, q_r)
-    tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
+    tree = PolarQuadtree.build(phi, r, alpha=0.9, radius=DISK, capacity=capacity)
     got = query(tree, n // 2, radius)
     assert np.array_equal(got, brute_after_ids(tree, phi, r, n // 2, radius))
     # the same tree queried from all of its points finds each pair once
@@ -336,7 +360,7 @@ def test_any_partition_into_slices_finds_each_pair_once(n, capacity, seed, radiu
     # cuts fall anywhere in the storage order, across band boundaries too
     rng = np.random.default_rng(seed)
     phi, r = random_points(rng, n)
-    tree = PolarQuadtree.build(phi, r, alpha=0.9, max_r=0.98, capacity=capacity)
+    tree = PolarQuadtree.build(phi, r, alpha=0.9, radius=DISK, capacity=capacity)
     cuts = sorted(min(c, n) for c in cuts)
     assert np.array_equal(
         tree_pairs(tree, radius, cuts), brute_pairs(tree, phi, r, radius)
@@ -344,18 +368,20 @@ def test_any_partition_into_slices_finds_each_pair_once(n, capacity, seed, radiu
 
 
 def test_query_on_boundary_is_excluded():
-    # the largest radius at which the predicate rejects a point 0.5 from the
-    # origin, and the next float above it, at which it accepts the point
-    rim, inside = 1.0986122886681096, 1.0986122886681098
-    assert not within_distance(0.5, 0.0, weight(0.5), 1.0, rim)
-    assert within_distance(0.5, 0.0, weight(0.5), 1.0, inside)
     # both points lie in the innermost band at angle 0, and in the single
     # row, so point 0 is stored first and queries point 1, at the origin
     tree = PolarQuadtree.build(
-        np.array([0.0, 0.0]), np.array([0.5, 0.0]), alpha=1.0, max_r=0.9
+        np.array([0.0, 0.0]), np.array([1.1, 0.0]), alpha=1.0, radius=DISK
     )
     assert np.array_equal(tree.band_ptr, [0, 2, 2])
-    assert np.array_equal(tree.row_r, [0.0, 0.9])
+    assert np.array_equal(tree.row_r, [0.0, to_poincare_radius(DISK)])
+    # the largest radius at which the predicate rejects point 1 on the
+    # stored coordinates, and the next float above it, at which it accepts it
+    (x0, x1), (b0, b1) = tree.p_x, tree.p_b
+    rim, inside = 0.0, 3.0
+    while (mid := 0.5 * (rim + inside)) not in (rim, inside):
+        rim, inside = (rim, mid) if within_distance(x0 - x1, 0.0, b0, b1, mid) else (mid, inside)
+    assert inside == np.nextafter(rim, math.inf) and 1.0 < rim < 1.2
     assert query(tree, 0, rim).size == 0
     assert np.array_equal(query(tree, 0, inside), [1])
     assert query(tree, 1, inside).size == 0
@@ -364,7 +390,7 @@ def test_query_on_boundary_is_excluded():
 def test_query_many_matches_single_queries():
     rng = np.random.default_rng(11)
     phi, r = random_points(rng, 800)
-    tree = PolarQuadtree.build(phi, r, alpha=1.2, max_r=0.98, capacity=32)
+    tree = PolarQuadtree.build(phi, r, alpha=1.2, radius=DISK, capacity=32)
     radii = rng.uniform(0.1, 8.0, 50)
     for i, qid in enumerate(rng.choice(800, 50, replace=False)):
         v, w = tree.query_many(0, len(tree), radii[i])
@@ -375,7 +401,7 @@ def test_query_many_matches_single_queries():
 
 def test_query_many_slice_validation():
     tree = PolarQuadtree.build(
-        np.array([0.1, 0.2]), np.array([0.3, 0.4]), alpha=1.0, max_r=0.9
+        np.array([0.1, 0.2]), np.array([0.3, 0.4]), alpha=1.0, radius=DISK
     )
     for lo, hi in ((-1, 1), (1, 0), (0, 3), (3, 3), (2, 1)):
         with pytest.raises(ValueError):
@@ -386,14 +412,14 @@ def test_query_many_slice_validation():
 
 
 def test_query_empty_tree_and_zero_radius():
-    tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, max_r=0.9)
+    tree = PolarQuadtree.build(np.empty(0), np.empty(0), alpha=1.0, radius=DISK)
     assert len(tree) == 0 and tree.height() == 0
     v, w = tree.query_many(0, 0, 5.0)
     assert v.size == w.size == 0
     # three points at one angle in one band are stored by id: point 0 at
     # radius 0.31 comes first, then point 1 and its copy 2 at 0.3
     tree = PolarQuadtree.build(
-        np.full(3, 0.3), np.array([0.31, 0.3, 0.3]), alpha=1.0, max_r=0.9
+        np.full(3, 0.3), np.array([0.31, 0.3, 0.3]), alpha=1.0, radius=DISK
     )
     assert np.array_equal(tree.p_id, [0, 1, 2])
     with pytest.raises(ParameterDomainError):
@@ -413,31 +439,30 @@ def test_same_band_neighbour_nearer_the_origin(gamma, dr):
     # in the same band: w is stored after v at hyperbolic distance just
     # below R, at an angle beyond what v's own radius would allow
     n = 1000
-    model = GeneratorParams(n=n, avg_degree=16.0, gamma=gamma).resolve()
-    coords = sample_points(n, model.alpha, model.R, 3)
-    r_v, r_w = to_poincare_radius(np.array([model.R - 0.05, model.R - 0.05 - dr]))
+    alpha, radius = GeneratorParams(n=n, avg_degree=16.0, gamma=gamma).resolve()
+    coords = sample_points(n, alpha, radius, 3)
+    r_vw = np.array([radius - 0.05, radius - 0.05 - dr])
+    (p_v, p_w), (b_v, b_w) = poincare_image(r_vw, radius)
 
     def close(theta):
-        dx = r_w * np.cos(1.0 + theta) - r_v * np.cos(1.0)
-        dy = r_w * np.sin(1.0 + theta) - r_v * np.sin(1.0)
-        return within_distance(dx, dy, weight(r_w), weight(r_v), model.R)
+        dx = p_w * np.cos(1.0 + theta) - p_v * np.cos(1.0)
+        dy = p_w * np.sin(1.0 + theta) - p_v * np.sin(1.0)
+        return within_distance(dx, dy, b_w, b_v, radius)
 
     inside, outside = 0.0, 1.0
     while (mid := 0.5 * (inside + outside)) not in (inside, outside):
         inside, outside = (mid, outside) if close(mid) else (inside, mid)
     assert close(inside) and not close(outside)
     phi = np.concatenate((coords.phi, [1.0, 1.0 + inside, 1.0 + outside]))
-    r = np.concatenate((coords.r_poincare, [r_v, r_w, r_w]))
-    tree = PolarQuadtree.build(
-        phi, r, alpha=model.alpha, max_r=to_poincare_radius(model.R)
-    )
+    r = np.concatenate((coords.r_native, r_vw[[0, 1, 1]]))
+    tree = PolarQuadtree.build(phi, r, alpha=alpha, radius=radius)
     assert np.unique(band_of(tree, r[n:])).size == 1
-    got = query(tree, n, model.R)
+    got = query(tree, n, radius)
     assert n + 1 in got and n + 2 not in got
-    assert np.array_equal(got, brute_after_ids(tree, phi, r, n, model.R))
-    assert n not in query(tree, n + 1, model.R)
+    assert np.array_equal(got, brute_after_ids(tree, phi, r, n, radius, disk=radius))
+    assert n not in query(tree, n + 1, radius)
     assert np.array_equal(
-        tree_pairs(tree, model.R), brute_pairs(tree, phi, r, model.R)
+        tree_pairs(tree, radius), brute_pairs(tree, phi, r, radius, disk=radius)
     )
 
 
@@ -449,8 +474,8 @@ def test_own_band_windows_across_the_seam(seed):
     rng = np.random.default_rng(seed)
     # a tiny negative angle mod 2pi rounds to 2pi; the second mod makes it 0
     phi = (rng.uniform(-0.3, 0.3, 300) % TWO_PI) % TWO_PI
-    r = rng.uniform(0.6, 0.9, 300)
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=1000)
+    r = rng.uniform(1.4, 2.9, 300)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, radius=DISK, capacity=1000)
     radius = 2.5
     got = tree_pairs(tree, radius)
     assert np.array_equal(got, brute_pairs(tree, phi, r, radius))
@@ -464,8 +489,8 @@ def test_equal_angles_inside_one_band():
     # them on the seam; -0.0 and 0.0 are one angle
     rng = np.random.default_rng(4)
     phi = np.repeat([0.0, -0.0, 1.0, 1.0 + 1e-9, TWO_PI - 1e-9], 40)
-    r = rng.uniform(0.5, 0.9, phi.size)
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=4096)
+    r = rng.uniform(1.1, 2.9, phi.size)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, radius=DISK, capacity=4096)
     for radius in (0.5, 2.0, 4.0):
         want = brute_pairs(tree, phi, r, radius)
         assert np.array_equal(tree_pairs(tree, radius), want)
@@ -480,9 +505,9 @@ def test_whole_windows_from_a_hub_at_the_origin():
     rng = np.random.default_rng(8)
     phi, r = random_points(rng, 400)
     phi = np.concatenate((phi, rng.uniform(0.0, TWO_PI, 6), [3.0]))
-    r = np.concatenate((r, np.full(6, 1e-4), [0.0]))
+    r = np.concatenate((r, np.full(6, 2e-4), [0.0]))
     hub = phi.size - 1
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=1)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, radius=DISK, capacity=1)
     own = band_of(tree, r) == band_of(tree, r[hub])
     assert (phi[own] < 3.0).any() and (phi[own] > 3.0).any()
     rank = storage_rank(tree, phi, r)
@@ -499,14 +524,14 @@ def test_whole_windows_from_a_hub_at_the_origin():
 def test_tree_shape_accounting():
     rng = np.random.default_rng(2)
     phi, r = random_points(rng, 2000)
-    tree = PolarQuadtree.build(phi, r, alpha=1.0, max_r=0.98, capacity=32)
+    tree = PolarQuadtree.build(phi, r, alpha=1.0, radius=DISK, capacity=32)
     assert tree.height() == 3  # 32 * 4**3 = 2048 >= 2000 > 32 * 4**2
     [root] = tree.nodes_at_depth(0)
     assert (root.depth, root.row, root.sector, root.size) == (0, 0, 0, 2000)
     # a depth-1 node is half the radial mass times a half turn
     d1 = tree.nodes_at_depth(1)
     assert [(nd.row, nd.sector) for nd in d1] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    outer = r >= tree.row_r[4]
+    outer = to_poincare_radius(r) >= tree.row_r[4]
     upper = phi >= math.pi
     assert [nd.size for nd in d1] == [
         int(np.sum((outer == i) & (upper == j))) for i in (0, 1) for j in (0, 1)

@@ -136,30 +136,47 @@ def test_cli_keeps_the_blas_threads_the_user_set():
 
 
 def unreferenced_members(class_tree, class_name, trees):
-    """Non-underscore methods and properties of `class_name` in a parsed
-    module that no attribute access in the parsed `trees` names."""
+    """Non-underscore methods, properties and dataclass fields of
+    `class_name` in a parsed module that no attribute read in the parsed
+    `trees` names."""
     [cls] = [node for node in ast.walk(class_tree)
              if isinstance(node, ast.ClassDef) and node.name == class_name]
     members = {node.name for node in cls.body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    members |= {node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and not node.target.id.startswith("_")}
     used = {node.attr for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return members - used
 
 
 def test_member_scan_counts_attribute_uses_only():
     source = (
-        "class A:\n    def f(self): pass\n    @property\n    def g(self): pass\n"
+        "class A:\n    x: int\n    y: int = 0\n    z: int\n    _w: int\n"
+        "    def f(self): pass\n    @property\n    def g(self): pass\n"
         "    @classmethod\n    def h(cls): pass\n    def _i(self): pass\n"
-        "A().g\nA.h()\nf = 1\n"
+        "A().g\nA.h()\nf = 1\nA(z=1).x\nA().y = 2\n"
     )
     tree = ast.parse(source)
-    assert unreferenced_members(tree, "A", [tree]) == {"f"}
+    assert unreferenced_members(tree, "A", [tree]) == {"f", "y", "z"}
 
 
-@pytest.mark.parametrize("module, class_name", [("graph", "Graph"), ("quadtree", "PolarQuadtree")])
+@pytest.mark.parametrize(
+    "module, class_name",
+    [
+        ("graph", "Graph"),
+        ("quadtree", "PolarQuadtree"),
+        ("generator", "GeneratorParams"),
+        ("generator", "VertexCoordinates"),
+        ("generator", "GenerationStats"),
+        ("graphio", "EdgeListHeader"),
+    ],
+)
 def test_public_members_have_callers_outside_the_tests(module, class_name):
-    # a method that only the tests call belongs in tests/helpers.py
+    # a method that only the tests call belongs in tests/helpers.py, and a
+    # field that nothing reads is to be deleted; `AnalysisReport` is left out,
+    # as `dataclasses.fields` reads all of its fields at once
     paths = sorted((ROOT / "src" / "hrgen").glob("*.py"))
     paths += [p for p in sorted((ROOT / "perfbench").glob("*.py"))
               if not p.name.startswith("test_")]
